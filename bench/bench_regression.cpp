@@ -13,8 +13,13 @@
 //              median (telemetry compiled in but disabled) must stay
 //              within 2% of the baseline's. Skipped for smoke runs and
 //              when the workload sizes differ.
+// Full-size runs also gate the cost of telemetry when it is ON: metrics
+// and tracing together must add at most 20% to the csr/fused solve
+// (ABBA-paired reps, median of ratios). Any dropped trace span fails
+// every run, smoke included.
 // BSIS_QUICK=1 is honored like --smoke.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -106,37 +111,6 @@ HostRun make_host_run(const char* format, const BatchMatrix& a,
                                                       a.rows());
     r.run = [&a, &b, settings, x] { return solve_batch(a, b, *x, settings); };
     return r;
-}
-
-template <typename BatchMatrix>
-HostCase time_host(const char* format, bool fused, const BatchMatrix& a,
-                   const BatchVector<real_type>& b, int reps,
-                   int lockstep_width = 0)
-{
-    SolverSettings settings;
-    settings.solver = SolverType::bicgstab;
-    settings.precond = PrecondType::jacobi;
-    settings.fused_kernels = fused;
-    settings.lockstep_width = lockstep_width;
-    BatchVector<real_type> x(a.num_batch(), a.rows());
-    std::vector<double> walls;
-    BatchSolveResult last;
-    // One untimed warm-up solve so allocation of the persistent workspace
-    // pool (and cache warming) does not land in the first sample.
-    solve_batch(a, b, x, settings);
-    for (int rep = 0; rep < reps; ++rep) {
-        last = solve_batch(a, b, x, settings);
-        walls.push_back(last.wall_seconds);
-    }
-    HostCase c;
-    c.format = format;
-    c.variant = lockstep_width > 0
-                    ? "lockstep" + std::to_string(lockstep_width)
-                    : (fused ? "fused" : "unfused");
-    c.median_wall_seconds = median(std::move(walls));
-    c.mean_iterations = mean_iterations(last.log);
-    c.all_converged = last.log.all_converged();
-    return c;
 }
 
 /// Per-entry equivalence check of the lockstep path against the scalar
@@ -236,11 +210,29 @@ bool pipelined_matches_classic(const BatchMatrix& a,
     return true;
 }
 
-/// Telemetry overhead A/B on the csr/fused configuration.
+/// One telemetry A/B row on the csr/fused configuration: the solve with
+/// the named sinks on, paired against the same solve with them off.
+struct TelemetryMode {
+    const char* name;
+    bool metrics;
+    bool trace;
+    std::vector<double> off;     ///< wall seconds, obs switches off
+    std::vector<double> on;      ///< wall seconds, the mode's sinks on
+    std::vector<double> ratios;  ///< paired on/off ratios
+
+    double overhead_percent() const { return 100.0 * (median(ratios) - 1.0); }
+};
+
+/// Telemetry overhead per mechanism: metrics only, trace only, both.
 struct TelemetryCase {
-    double disabled_median_wall_seconds = 0;  ///< obs switches off
-    double enabled_median_wall_seconds = 0;   ///< metrics + tracing on
-    double enabled_overhead_percent = 0;
+    TelemetryMode metrics{"metrics", true, false};
+    TelemetryMode trace{"trace", false, true};
+    TelemetryMode both{"both", true, true};
+    int pairs = 0;                   ///< paired reps per mode
+    std::size_t shard_capacity = 0;  ///< one warm-up solve's span count
+    std::int64_t dropped = 0;        ///< trace spans dropped over all reps
+
+    std::array<TelemetryMode*, 3> modes() { return {&metrics, &trace, &both}; }
 };
 
 /// Live-monitor overhead A/B on the same configuration: metrics-on solves
@@ -333,12 +325,18 @@ void write_json(const std::string& path, bool smoke, size_type num_systems,
             << (i + 1 < devices.size() ? "," : "") << "\n";
     }
     out << "  ],\n";
-    out << "  \"telemetry\": {\"disabled_median_wall_seconds\": "
-        << telemetry.disabled_median_wall_seconds
-        << ", \"enabled_median_wall_seconds\": "
-        << telemetry.enabled_median_wall_seconds
+    out << "  \"telemetry\": {\"method\": \"abba_median_of_ratios\""
+        << ", \"pairs\": " << telemetry.pairs
+        << ", \"disabled_median_wall_seconds\": " << median(telemetry.both.off)
+        << ", \"enabled_median_wall_seconds\": " << median(telemetry.both.on)
         << ", \"enabled_overhead_percent\": "
-        << telemetry.enabled_overhead_percent << "},\n";
+        << telemetry.both.overhead_percent()
+        << ", \"metrics_only_overhead_percent\": "
+        << telemetry.metrics.overhead_percent()
+        << ", \"trace_only_overhead_percent\": "
+        << telemetry.trace.overhead_percent()
+        << ", \"trace_shard_capacity\": " << telemetry.shard_capacity
+        << ", \"trace_dropped\": " << telemetry.dropped << "},\n";
     out << "  \"monitor\": {\"tick_ms\": " << monitor.tick_ms
         << ", \"metrics_only_median_wall_seconds\": "
         << monitor.metrics_only_median_wall_seconds
@@ -488,30 +486,61 @@ int main(int argc, char** argv)
             .add(c.per_iteration_us, 4);
     }
 
-    // Telemetry A/B on the csr/fused configuration: every host case above
-    // already measures the compiled-in-but-DISABLED cost (the obs switches
-    // default to off); here the same configuration is re-timed with
-    // metrics and tracing live. The trace reservoir is kept small -- the
-    // overhead of interest is the recording fast path, not the memory.
+    // Telemetry A/B on the csr/fused configuration, one row per mechanism
+    // (metrics only, trace only, both). Each rep times the solve with the
+    // mode's sinks on and off back-to-back, alternating which runs first
+    // (ABBA), and the row's overhead is the median of the paired ratios --
+    // the monitor row's method below. The trace shard holds exactly one
+    // warm-up solve's spans and is cleared after every traced rep, so no
+    // rep times the span-drop path; a drop fails the run.
     TelemetryCase telemetry;
     {
-        const auto find_host = [&](const char* fmt, const char* variant) {
-            for (const auto& c : host) {
-                if (c.format == fmt && c.variant == variant) {
-                    return c.median_wall_seconds;
-                }
-            }
-            return 0.0;
+        SolverSettings settings;
+        settings.solver = SolverType::bicgstab;
+        settings.precond = PrecondType::jacobi;
+        settings.fused_kernels = true;
+        BatchVector<real_type> x(csr.num_batch(), csr.rows());
+        const auto set_sinks = [](bool metrics, bool trace) {
+            obs::set_metrics_enabled(metrics);
+            obs::set_trace_enabled(trace);
         };
-        telemetry.disabled_median_wall_seconds =
-            find_host("csr", "fused");
-        obs::trace().set_shard_capacity(1 << 16);
-        obs::set_metrics_enabled(true);
-        obs::set_trace_enabled(true);
-        telemetry.enabled_median_wall_seconds =
-            time_host("csr", true, csr, b, reps).median_wall_seconds;
-        obs::set_metrics_enabled(false);
-        obs::set_trace_enabled(false);
+        obs::trace().clear();
+        set_sinks(true, true);
+        solve_batch(csr, b, x, settings);  // untimed warm-up
+        set_sinks(false, false);
+        telemetry.shard_capacity = obs::trace().snapshot().size();
+        telemetry.dropped += obs::trace().dropped();
+        obs::trace().clear();
+        obs::trace().set_shard_capacity(telemetry.shard_capacity);
+
+        telemetry.pairs = 2 * reps;
+        const auto run = [&](const TelemetryMode* mode) {
+            if (mode == nullptr) {
+                return solve_batch(csr, b, x, settings).wall_seconds;
+            }
+            set_sinks(mode->metrics, mode->trace);
+            const double wall = solve_batch(csr, b, x, settings).wall_seconds;
+            set_sinks(false, false);
+            telemetry.dropped += obs::trace().dropped();
+            obs::trace().clear();
+            return wall;
+        };
+        for (int rep = 0; rep < telemetry.pairs; ++rep) {
+            for (auto* mode : telemetry.modes()) {
+                double without = 0;
+                double with = 0;
+                if (rep % 2 == 0) {
+                    without = run(nullptr);
+                    with = run(mode);
+                } else {
+                    with = run(mode);
+                    without = run(nullptr);
+                }
+                mode->off.push_back(without);
+                mode->on.push_back(with);
+                mode->ratios.push_back(with / without);
+            }
+        }
         // The telemetry-live repetitions just recorded the full
         // attribution of the canonical workload (phase roofline gauges,
         // drift checks); --metrics-out hands that snapshot to
@@ -528,14 +557,7 @@ int main(int argc, char** argv)
                 return 1;
             }
         }
-        obs::trace().clear();
         obs::metrics().reset_values();
-        if (telemetry.disabled_median_wall_seconds > 0) {
-            telemetry.enabled_overhead_percent =
-                100.0 * (telemetry.enabled_median_wall_seconds /
-                             telemetry.disabled_median_wall_seconds -
-                         1.0);
-        }
     }
 
     // Monitor A/B on the same configuration: metrics live (no tracing)
@@ -608,10 +630,15 @@ int main(int argc, char** argv)
     table.print(std::cout);
     std::cout << "\n=== modeled kernel time (warp 32 / warp 64)\n\n";
     modeled.print(std::cout);
-    std::cout << "\ntelemetry overhead (csr/fused): disabled "
-              << telemetry.disabled_median_wall_seconds << " s, enabled "
-              << telemetry.enabled_median_wall_seconds << " s ("
-              << telemetry.enabled_overhead_percent << "% when live)\n";
+    std::cout << "\ntelemetry overhead (csr/fused, " << telemetry.pairs
+              << " ABBA pairs, median of ratios; trace shard "
+              << telemetry.shard_capacity << " events, "
+              << telemetry.dropped << " dropped)\n";
+    for (const auto* mode : telemetry.modes()) {
+        std::cout << "  " << mode->name << ": disabled " << median(mode->off)
+                  << " s, enabled " << median(mode->on) << " s ("
+                  << mode->overhead_percent() << "% when live)\n";
+    }
     std::cout << "monitor overhead (csr/fused, " << monitor_case.tick_ms
               << " ms tick): metrics-only "
               << monitor_case.metrics_only_median_wall_seconds
@@ -623,6 +650,15 @@ int main(int argc, char** argv)
     write_json(out_path, smoke, num_systems, rows, width, reps, host,
                devices, telemetry, monitor_case);
     std::cout << "\n[json written to " << out_path << "]\n";
+
+    const auto find_case = [&](const char* fmt, const char* variant) {
+        for (const auto& c : host) {
+            if (c.format == fmt && c.variant == variant) {
+                return c.median_wall_seconds;
+            }
+        }
+        return 0.0;
+    };
 
     // Overhead gate against the committed baseline: the csr/fused median
     // with telemetry compiled in but DISABLED must stay within 2% of the
@@ -641,7 +677,7 @@ int main(int argc, char** argv)
                       << base_systems << " systems, this run "
                       << num_systems << "\n";
         } else {
-            const double cur = telemetry.disabled_median_wall_seconds;
+            const double cur = find_case("csr", "fused");
             const double ratio = cur / base_median;
             std::cout << "baseline gate (csr/fused, telemetry disabled): "
                       << cur << " s vs baseline " << base_median << " s ("
@@ -661,6 +697,22 @@ int main(int argc, char** argv)
         std::cerr << "regression bench: monitor sampler overhead "
                   << monitor_case.overhead_percent
                   << "% exceeds the 2% envelope\n";
+        return 1;
+    }
+
+    // Telemetry gates: a dropped span means some rep timed the drop path
+    // instead of the recording path, and with metrics and tracing both on
+    // the solve may cost at most 20% more (smoke batches are too
+    // small/noisy to gate the cost).
+    if (telemetry.dropped > 0) {
+        std::cerr << "regression bench: " << telemetry.dropped
+                  << " trace spans dropped during the telemetry A/B\n";
+        return 1;
+    }
+    const double enabled_overhead = telemetry.both.overhead_percent();
+    if (!smoke && enabled_overhead > 20.0) {
+        std::cerr << "regression bench: enabled telemetry overhead "
+                  << enabled_overhead << "% exceeds the 20% envelope\n";
         return 1;
     }
 
@@ -707,14 +759,6 @@ int main(int argc, char** argv)
     }
     // And the point of the lockstep path is to beat the scalar fused path
     // on the full-size batch (smoke batches are too small/noisy to gate).
-    const auto find_case = [&](const char* fmt, const char* variant) {
-        for (const auto& c : host) {
-            if (c.format == fmt && c.variant == variant) {
-                return c.median_wall_seconds;
-            }
-        }
-        return 0.0;
-    };
     const double scalar_fused = find_case("csr", "fused");
     const double lockstep_best = std::min(find_case("csr", "lockstep4"),
                                           find_case("csr", "lockstep8"));

@@ -5,8 +5,8 @@
 // Every `obs::traced` span in the solver kernels names one of a fixed,
 // small set of phase kinds -- an SpMV sweep, a preconditioner
 // application, a block-wide reduction, a streaming vector update. The
-// accumulator tallies wall nanoseconds, thread-CPU nanoseconds and call
-// counts per kind into
+// accumulator tallies wall nanoseconds, call counts and a deterministic
+// 1-in-`cpu_sample_period` sample of thread-CPU nanoseconds per kind into
 // per-thread cache-line-aligned shards of relaxed atomics, so the hot
 // loops never contend and never take a lock; totals() sums the shards.
 // Recording is gated by `obs::metrics_enabled()` (see obs/telemetry.hpp):
@@ -52,18 +52,33 @@ inline const char* phase_name(Phase phase)
     return "other";
 }
 
-/// Point-in-time sum over every shard: wall seconds, thread-CPU seconds
-/// and span count per phase kind. Subtraction gives the delta
+/// Spans of one phase kind on one thread read the thread-CPU clock only
+/// on every `cpu_sample_period`-th call, the first included. That clock
+/// is a syscall on Linux (~300 ns per read) where a steady_clock read is
+/// a vDSO call (~35 ns), so sampling it is what makes an enabled span
+/// cheap next to a microsecond-scale kernel.
+inline constexpr std::int64_t cpu_sample_period = 16;
+
+/// Point-in-time sum over every shard: wall seconds, span count and the
+/// thread-CPU sample per phase kind. Subtraction gives the delta
 /// attributable to one solve. Wall time is what bandwidth attribution
 /// wants (achieved GB/s is a wall-clock fact); CPU time is what drift
 /// detection wants -- a scheduler preemption landing inside one span
 /// inflates its wall share arbitrarily but leaves its CPU share intact,
 /// so share comparisons against the model stay meaningful on a loaded
 /// machine.
+///
+/// `cpu_seconds` is estimated from the sample: sampled CPU seconds x
+/// calls / sampled calls, exact when every span was sampled. Each sample
+/// is still thread-CPU time, so the estimate inherits the preemption
+/// immunity. A window without any sample of a phase falls back to that
+/// phase's wall seconds.
 struct PhaseTotals {
     double seconds[phase_count] = {};
     double cpu_seconds[phase_count] = {};
     std::int64_t calls[phase_count] = {};
+    double sampled_cpu_seconds[phase_count] = {};
+    std::int64_t sampled_calls[phase_count] = {};
 
     double total_seconds() const
     {
@@ -88,27 +103,58 @@ struct PhaseTotals {
         PhaseTotals d;
         for (int p = 0; p < phase_count; ++p) {
             d.seconds[p] = seconds[p] - earlier.seconds[p];
-            d.cpu_seconds[p] = cpu_seconds[p] - earlier.cpu_seconds[p];
             d.calls[p] = calls[p] - earlier.calls[p];
+            d.sampled_cpu_seconds[p] =
+                sampled_cpu_seconds[p] - earlier.sampled_cpu_seconds[p];
+            d.sampled_calls[p] = sampled_calls[p] - earlier.sampled_calls[p];
         }
+        d.estimate_cpu();
         return d;
+    }
+
+    /// Fills `cpu_seconds` from the sampled fields (see above).
+    void estimate_cpu()
+    {
+        for (int p = 0; p < phase_count; ++p) {
+            cpu_seconds[p] =
+                sampled_calls[p] > 0
+                    ? sampled_cpu_seconds[p] *
+                          static_cast<double>(calls[p]) /
+                          static_cast<double>(sampled_calls[p])
+                    : seconds[p];
+        }
     }
 };
 
-/// Per-thread sharded phase-time tally. add() is wait-free (two relaxed
-/// fetch_adds on the calling thread's own cache line); totals() sums the
-/// shards with relaxed loads -- callers measure before/after deltas
-/// around a solve, so in-flight recording only blurs a delta by the spans
-/// racing the snapshot.
+/// Per-thread sharded phase-time tally. add() is wait-free (relaxed
+/// fetch_adds on the calling thread's own cache line: two per span, four
+/// on a sampled one); totals() sums the shards with relaxed loads --
+/// callers measure before/after deltas around a solve, so in-flight
+/// recording only blurs a delta by the spans racing the snapshot.
 class PhaseAccumulator {
 public:
+    /// Whether the calling thread's next span of `phase` reads the
+    /// thread-CPU clock: its first, then every `cpu_sample_period`-th.
+    bool sample_next(Phase phase)
+    {
+        const auto& shard = shards_.local();
+        return shard.calls[static_cast<int>(phase)].load(
+                   std::memory_order_relaxed) %
+                   cpu_sample_period ==
+               0;
+    }
+
+    /// Tallies one span; `cpu_ns < 0` marks it as not sampled.
     void add(Phase phase, std::int64_t wall_ns, std::int64_t cpu_ns)
     {
         auto& shard = shards_.local();
         const auto p = static_cast<int>(phase);
         shard.ns[p].fetch_add(wall_ns, std::memory_order_relaxed);
-        shard.cpu_ns[p].fetch_add(cpu_ns, std::memory_order_relaxed);
         shard.calls[p].fetch_add(1, std::memory_order_relaxed);
+        if (cpu_ns >= 0) {
+            shard.cpu_ns[p].fetch_add(cpu_ns, std::memory_order_relaxed);
+            shard.sampled[p].fetch_add(1, std::memory_order_relaxed);
+        }
     }
 
     PhaseTotals totals() const
@@ -119,18 +165,22 @@ public:
                 t.seconds[p] +=
                     1e-9 * static_cast<double>(
                                shard.ns[p].load(std::memory_order_relaxed));
-                t.cpu_seconds[p] +=
+                t.calls[p] +=
+                    shard.calls[p].load(std::memory_order_relaxed);
+                t.sampled_cpu_seconds[p] +=
                     1e-9 *
                     static_cast<double>(
                         shard.cpu_ns[p].load(std::memory_order_relaxed));
-                t.calls[p] +=
-                    shard.calls[p].load(std::memory_order_relaxed);
+                t.sampled_calls[p] +=
+                    shard.sampled[p].load(std::memory_order_relaxed);
             }
         });
+        t.estimate_cpu();
         return t;
     }
 
-    /// Zeroes every shard (tests; not needed for delta-based use).
+    /// Zeroes every shard, which also restarts each thread's CPU sample
+    /// at its next span (tests; not needed for delta-based use).
     void reset()
     {
         shards_.for_each([](Shard& shard) {
@@ -138,6 +188,7 @@ public:
                 shard.ns[p].store(0, std::memory_order_relaxed);
                 shard.cpu_ns[p].store(0, std::memory_order_relaxed);
                 shard.calls[p].store(0, std::memory_order_relaxed);
+                shard.sampled[p].store(0, std::memory_order_relaxed);
             }
         });
     }
@@ -148,6 +199,7 @@ private:
         std::atomic<std::int64_t> ns[phase_count] = {};
         std::atomic<std::int64_t> cpu_ns[phase_count] = {};
         std::atomic<std::int64_t> calls[phase_count] = {};
+        std::atomic<std::int64_t> sampled[phase_count] = {};
     };
 
     PerThreadShards<Shard> shards_;

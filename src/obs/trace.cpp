@@ -9,13 +9,33 @@
 
 namespace bsis::obs {
 
-TraceSession::TraceSession() : epoch_(std::chrono::steady_clock::now()) {}
+namespace {
+
+std::int64_t steady_ns(std::chrono::steady_clock::time_point t)
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               t.time_since_epoch())
+        .count();
+}
+
+}  // namespace
+
+TraceSession::TraceSession()
+    : epoch_ns_(steady_ns(std::chrono::steady_clock::now()))
+{
+}
+
+double TraceSession::since_epoch_us(
+    std::chrono::steady_clock::time_point t) const
+{
+    return 1e-3 * static_cast<double>(
+                      steady_ns(t) -
+                      epoch_ns_.load(std::memory_order_relaxed));
+}
 
 double TraceSession::now_us() const
 {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
+    return since_epoch_us(std::chrono::steady_clock::now());
 }
 
 void TraceSession::begin(const char* name, const char* cat, std::int64_t arg)
@@ -43,6 +63,18 @@ void TraceSession::end()
     event.tid = shard.index;
     event.arg = span.arg;
     push_event(shard, event);
+}
+
+void TraceSession::emit_host(const char* name, const char* cat,
+                             std::chrono::steady_clock::time_point start,
+                             std::chrono::steady_clock::time_point end)
+{
+    const double dur_us =
+        std::chrono::duration<double, std::micro>(end - start).count();
+    auto& shard = shards_.local();
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    push_event(shard, {name, cat, since_epoch_us(start), dur_us, host_pid,
+                       shard.index});
 }
 
 void TraceSession::emit_complete(const char* name, const char* cat, int pid,
@@ -81,7 +113,8 @@ void TraceSession::clear()
         shard.stack.clear();
     });
     dropped_.store(0, std::memory_order_relaxed);
-    epoch_ = std::chrono::steady_clock::now();
+    epoch_ns_.store(steady_ns(std::chrono::steady_clock::now()),
+                    std::memory_order_relaxed);
 }
 
 void TraceSession::set_shard_capacity(std::size_t max_events)

@@ -3,7 +3,10 @@
 //
 // Host-side spans nest per thread through a thread-local open-span stack:
 // begin() pushes, end() pops and materializes one complete ("ph": "X")
-// event with the span's start timestamp and duration. Modeled timelines
+// event with the span's start timestamp and duration. Leaf spans that
+// already hold their own wall stamps (the kernel phase spans, see
+// obs::PhaseTimer) skip the stack: emit_host() records them as one
+// complete event under a single shard lock. Modeled timelines
 // (the gpusim wave scheduler's per-block schedule) are emitted directly
 // with emit_complete() under a separate pid, so the host wall-clock
 // timeline and the modeled device timeline render as two process tracks.
@@ -49,6 +52,12 @@ public:
 
     /// Closes the innermost open span of the calling thread.
     void end();
+
+    /// Emits a host span the caller timed itself, on the calling thread's
+    /// track; `start`/`end` are steady_clock stamps.
+    void emit_host(const char* name, const char* cat,
+                   std::chrono::steady_clock::time_point start,
+                   std::chrono::steady_clock::time_point end);
 
     /// Emits an already-timed span (modeled timelines; `ts_us`/`dur_us`
     /// need not relate to the session's wall clock).
@@ -99,7 +108,12 @@ private:
 
     void push_event(Shard& shard, const TraceEvent& event);
 
-    std::chrono::steady_clock::time_point epoch_;
+    /// Microseconds from the session epoch to `t`.
+    double since_epoch_us(std::chrono::steady_clock::time_point t) const;
+
+    /// steady_clock nanoseconds of the epoch; atomic because clear()
+    /// re-arms it while recording threads read it without a lock.
+    std::atomic<std::int64_t> epoch_ns_;
     std::atomic<std::size_t> shard_capacity_{1u << 20};
     std::atomic<std::int64_t> dropped_{0};
     PerThreadShards<Shard> shards_;

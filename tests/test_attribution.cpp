@@ -5,9 +5,13 @@
 // sanity bounds of real solves on all three execution paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -535,6 +539,69 @@ TEST(PhaseTimer, DisabledRecordsNothing)
     EXPECT_EQ(delta.calls[static_cast<int>(obs::Phase::update)], 0);
 }
 
+/// A fixed busy loop of a few tens of microseconds.
+void busy_work()
+{
+    volatile double acc = 0;
+    for (int i = 0; i < 20000; ++i) {
+        acc = acc + 1.0;
+    }
+}
+
+TEST(PhaseTimer, CpuEstimatorExactForOneSampledSpan)
+{
+    constexpr int p = static_cast<int>(obs::Phase::reduction);
+    // reset() restarts every thread's sample pattern at its next span.
+    obs::phase_times().reset();
+    obs::set_metrics_enabled(true);
+    obs::traced(obs::Phase::reduction, "reduction", busy_work);
+    obs::set_metrics_enabled(false);
+    const auto delta = obs::phase_times().totals();
+    // The first span of a phase on a thread is always sampled, so the
+    // estimate is that span's own thread-CPU time.
+    EXPECT_EQ(delta.calls[p], 1);
+    EXPECT_EQ(delta.sampled_calls[p], 1);
+    EXPECT_GT(delta.sampled_cpu_seconds[p], 0.0);
+    EXPECT_DOUBLE_EQ(delta.cpu_seconds[p], delta.sampled_cpu_seconds[p]);
+}
+
+TEST(PhaseTimer, CpuEstimatorScalesSampleToAllCalls)
+{
+    constexpr int p = static_cast<int>(obs::Phase::reduction);
+    obs::phase_times().reset();
+    obs::set_metrics_enabled(true);
+    const auto cpu_start = obs::thread_cpu_ns();
+    for (int i = 0; i < 100; ++i) {
+        obs::traced(obs::Phase::reduction, "reduction", busy_work);
+    }
+    const double loop_cpu = 1e-9 * (obs::thread_cpu_ns() - cpu_start);
+    obs::set_metrics_enabled(false);
+    const auto delta = obs::phase_times().totals();
+    EXPECT_EQ(delta.calls[p], 100);
+    // Spans 0, 16, ..., 96 read the thread-CPU clock.
+    EXPECT_EQ(delta.sampled_calls[p],
+              (100 + obs::cpu_sample_period - 1) / obs::cpu_sample_period);
+    // The 7 samples scaled to 100 calls estimate the loop's CPU time; the
+    // reference is the loop's own thread-CPU time rather than its wall
+    // time, so a preemption during the loop cannot fail the check.
+    ASSERT_GT(loop_cpu, 0.0);
+    EXPECT_NEAR(delta.cpu_seconds[p], loop_cpu, 0.3 * loop_cpu);
+}
+
+TEST(PhaseTimer, NoSampleInWindowFallsBackToWall)
+{
+    obs::PhaseTotals t;
+    t.seconds[0] = 2.0;
+    t.calls[0] = 5;
+    t.sampled_cpu_seconds[1] = 0.5;
+    t.seconds[1] = 9.0;
+    t.calls[1] = 4;
+    t.sampled_calls[1] = 1;
+    t.estimate_cpu();
+    EXPECT_DOUBLE_EQ(t.cpu_seconds[0], 2.0);
+    EXPECT_DOUBLE_EQ(t.cpu_seconds[1], 2.0);
+}
+
 // ---------------------------------------------------------------------
 // End to end: real solves on all three paths produce sane attribution
 // (bandwidth within (0, peak]) and zero drift alarms.
@@ -719,6 +786,81 @@ TEST_F(AttributionEndToEnd, ReportRoundTripOverLiveSnapshot)
     EXPECT_NE(report.text.find("performance report"), std::string::npos);
     EXPECT_NE(report.text.find("spmv"), std::string::npos);
     EXPECT_NE(report.text.find("PASS"), std::string::npos);
+}
+
+TEST_F(AttributionEndToEnd, KernelSpansShareThePhaseTimerStamps)
+{
+    auto p = make_problem(16);
+    obs::set_metrics_enabled(true);
+    obs::set_trace_enabled(true);
+    const auto before = obs::phase_times().totals();
+    SolverSettings settings;
+    BatchVector<real_type> x(p.a.num_batch(), p.a.rows());
+    const auto result = solve_batch(p.a, p.b, x, settings);
+    const auto delta = obs::phase_times().totals() - before;
+    obs::set_metrics_enabled(false);
+    obs::set_trace_enabled(false);
+    ASSERT_TRUE(result.log.all_converged());
+    ASSERT_EQ(obs::trace().dropped(), 0);
+
+    // Each "spmv" kernel event and its phase tally come from the same two
+    // steady_clock stamps, so the sums agree to floating-point rounding.
+    constexpr int spmv = static_cast<int>(obs::Phase::spmv);
+    double traced_us = 0;
+    std::int64_t events = 0;
+    for (const auto& e : obs::trace().snapshot()) {
+        if (std::strcmp(e.cat, "kernel") == 0 &&
+            std::strcmp(e.name, "spmv") == 0) {
+            traced_us += e.dur_us;
+            ++events;
+        }
+    }
+    EXPECT_EQ(events, delta.calls[spmv]);
+    EXPECT_GT(delta.seconds[spmv], 0.0);
+    EXPECT_NEAR(1e-6 * traced_us, delta.seconds[spmv],
+                1e-9 * delta.seconds[spmv]);
+}
+
+TEST_F(AttributionEndToEnd, MidSolveTelemetryFlipLeavesResultsBitwiseEqual)
+{
+    auto p = make_problem_big(64);
+    SolverSettings settings;
+    BatchVector<real_type> reference(p.a.num_batch(), p.a.rows());
+    ASSERT_TRUE(solve_batch(p.a, p.b, reference, settings).log
+                    .all_converged());
+
+    std::atomic<bool> done{false};
+    std::atomic<std::int64_t> flips{0};
+    std::thread toggler([&] {
+        bool on = true;
+        while (!done.load()) {
+            obs::set_metrics_enabled(on);
+            obs::set_trace_enabled(!on || flips.load() % 3 == 0);
+            on = !on;
+            flips.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+    });
+    for (int rep = 0; rep < 3; ++rep) {
+        BatchVector<real_type> x(p.a.num_batch(), p.a.rows());
+        solve_batch(p.a, p.b, x, settings);
+        EXPECT_EQ(std::memcmp(x.data(), reference.data(),
+                              sizeof(real_type) *
+                                  static_cast<std::size_t>(x.size())),
+                  0)
+            << "rep " << rep;
+    }
+    done.store(true);
+    toggler.join();
+    obs::set_metrics_enabled(false);
+    obs::set_trace_enabled(false);
+    EXPECT_GT(flips.load(), 2);
+
+    const auto events = obs::trace().snapshot();
+    EXPECT_FALSE(events.empty());
+    for (const auto& e : events) {
+        EXPECT_GE(e.dur_us, 0.0) << e.name;
+    }
 }
 
 TEST_F(AttributionEndToEnd, TraceDropGaugeAndWarnOnce)

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -427,6 +430,61 @@ TEST(Trace, UnmatchedEndIsIgnored)
     session.end();  // extra
     EXPECT_EQ(session.snapshot().size(), 1u);
     EXPECT_EQ(session.dropped(), 0);
+}
+
+TEST(Trace, EmitHostRecordsTheCallersStampsOnItsThreadTrack)
+{
+    obs::TraceSession session;
+    const auto start = std::chrono::steady_clock::now();
+    const auto end = start + std::chrono::microseconds(250);
+    session.begin("outer", "test");
+    session.emit_host("leaf", "kernel", start, end);
+    session.end();
+    const auto events = session.snapshot();
+    ASSERT_EQ(events.size(), 2u);
+    const auto& leaf = events[0];
+    EXPECT_STREQ(leaf.name, "leaf");
+    EXPECT_STREQ(leaf.cat, "kernel");
+    EXPECT_DOUBLE_EQ(leaf.dur_us, 250.0);
+    EXPECT_GE(leaf.ts_us, 0.0);
+    EXPECT_EQ(leaf.pid, obs::TraceSession::host_pid);
+    EXPECT_EQ(leaf.tid, events[1].tid);
+    EXPECT_EQ(leaf.arg, -1);
+    // The leaf did not touch the open-span stack: "outer" still closed.
+    EXPECT_STREQ(events[1].name, "outer");
+}
+
+TEST(Trace, ClearWhileOtherThreadsRecord)
+{
+    // clear() re-arms the epoch while recording threads read it; run this
+    // under ThreadSanitizer to check the epoch is race-free.
+    obs::TraceSession session;
+    std::atomic<bool> done{false};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 2; ++t) {
+        writers.emplace_back([&] {
+            while (!done.load()) {
+                const auto start = std::chrono::steady_clock::now();
+                session.emit_host("leaf", "kernel", start,
+                                  std::chrono::steady_clock::now());
+                session.begin("span", "test");
+                session.end();
+            }
+        });
+    }
+    for (int i = 0; i < 200; ++i) {
+        session.clear();
+        std::this_thread::yield();
+    }
+    done.store(true);
+    for (auto& w : writers) {
+        w.join();
+    }
+    for (const auto& e : session.snapshot()) {
+        if (std::strcmp(e.name, "leaf") == 0) {
+            EXPECT_GE(e.dur_us, 0.0);
+        }
+    }
 }
 
 TEST(Trace, ShardCapacityBoundsRetentionAndCountsDrops)
