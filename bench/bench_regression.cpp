@@ -225,9 +225,9 @@ struct TelemetryMode {
 
 /// Telemetry overhead per mechanism: metrics only, trace only, both.
 struct TelemetryCase {
-    TelemetryMode metrics{"metrics", true, false};
-    TelemetryMode trace{"trace", false, true};
-    TelemetryMode both{"both", true, true};
+    TelemetryMode metrics{"metrics", true, false, {}, {}, {}};
+    TelemetryMode trace{"trace", false, true, {}, {}, {}};
+    TelemetryMode both{"both", true, true, {}, {}, {}};
     int pairs = 0;                   ///< paired reps per mode
     std::size_t shard_capacity = 0;  ///< one warm-up solve's span count
     std::int64_t dropped = 0;        ///< trace spans dropped over all reps

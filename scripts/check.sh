@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Hardened check tier: build, run the sanitizer-labeled tests, the
-# observability (telemetry) tests, then run the solver example suite under
-# --sanitize. Any SIMT sanitizer finding (shared race, barrier divergence,
-# out-of-bounds access) fails the script.
+# Hardened check tier: build with -Werror, run the sanitizer-labeled
+# tests, the observability (telemetry) tests and the other labelled tiers,
+# then run the solver example suite under --sanitize. Any SIMT sanitizer
+# finding (shared race, barrier divergence, out-of-bounds access) fails
+# the script.
 #
 # Usage: scripts/check.sh            (build dir defaults to ./build)
 #        BUILD_DIR=out scripts/check.sh
@@ -11,7 +12,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 
-cmake -B "$BUILD_DIR" -S .
+# -Werror: a new warning fails the hardened tier.
+cmake -B "$BUILD_DIR" -S . -DBSIS_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 echo "== sanitizer test tier =="
@@ -71,6 +73,13 @@ fi
 # barrier/utilization deltas of the traced pipelined kernel.
 echo "== pipelined test tier =="
 ctest --test-dir "$BUILD_DIR" -L pipelined --output-on-failure
+
+# Lockstep: per-entry equivalence of the SIMD batch-lockstep path with
+# the scalar path at every instantiated width, across formats, degenerate
+# batch shapes and the fallback rules -- the guard on the one lane
+# protocol (drain_lanes) every lockstep algorithm runs through.
+echo "== lockstep test tier =="
+ctest --test-dir "$BUILD_DIR" -L lockstep --output-on-failure
 
 # The perf smoke run also covers the SIMD batch-lockstep rows
 # (lockstep4/lockstep8) and cross-checks them against the scalar path

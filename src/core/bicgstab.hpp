@@ -6,18 +6,20 @@
 // mirroring the compile-time composition of the paper's Listing 1, so the
 // whole solve inlines into one optimized function.
 //
-// Two variants are provided. `bicgstab_kernel` (the default path) sweeps
+// Two kernels are provided. `bicgstab_kernel` (the default path) sweeps
 // the vectors with the fused single-pass BLAS kernels, matching the sweep
 // structure of the paper's fused GPU kernel: 4 update sweeps and 3
 // reduction sweeps per iteration instead of the ~13 sweeps of the naive
-// BLAS composition. `bicgstab_kernel_unfused` keeps the one-sweep-per-call
-// composition as the reference for the fusion A/B tests and benches.
+// BLAS composition; its `Pipelined` flag selects the pipelined recurrences.
+// `bicgstab_kernel_unfused` keeps the one-sweep-per-call composition as
+// the reference for the fusion A/B tests and benches.
 #pragma once
 
 #include <cmath>
 #include <vector>
 
 #include "blas/kernels.hpp"
+#include "core/pipelined.hpp"
 #include "core/workspace.hpp"
 #include "obs/telemetry.hpp"
 #include "util/types.hpp"
@@ -37,7 +39,14 @@ inline constexpr int bicgstab_work_vectors = 8;
 /// `history`, when non-null, receives the residual norm at the top of
 /// every iteration (the per-system logging of the paper's Listing 1
 /// LogType) -- see the convergence-history benchmark.
-template <typename MatrixView, typename Prec, typename Stop>
+///
+/// `Pipelined` selects the pipelined recurrences (core/pipelined.hpp): the
+/// standalone reductions per iteration drop from three to two (the
+/// r_hat.v dot and one dot4 sweep), and rho and the residual norm each
+/// bridge a single iteration, so the iterates track the classic kernel's
+/// to rounding and stopping decisions agree within one iteration.
+template <bool Pipelined = false, typename MatrixView, typename Prec,
+          typename Stop>
 EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
                             VecView<real_type> x, const Prec& prec,
                             const Stop& stop, int max_iters, Workspace& ws,
@@ -71,6 +80,16 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
     real_type rho_old = 1;
     real_type omega = 1;
     real_type alpha = 1;
+    // The pipelined kernel measures only the first rho (r_hat = r here, so
+    // this matches the classic kernel's iteration-0 dot bit for bit);
+    // every later rho comes from the dot4 recurrence.
+    real_type rho = 0;
+    if constexpr (Pipelined) {
+        rho = obs::traced(obs::Phase::reduction, "reduction", [&] {
+            return blas::dot(ConstVecView<real_type>(r),
+                             ConstVecView<real_type>(r_hat));
+        });
+    }
 
     if (history != nullptr) {
         history->clear();
@@ -86,10 +105,12 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
             // the iteration limit.
             return {iter, r_norm, false, FailureClass::non_finite};
         }
-        const real_type rho = obs::traced(obs::Phase::reduction, "reduction", [&] {
-            return blas::dot(ConstVecView<real_type>(r),
-                             ConstVecView<real_type>(r_hat));
-        });
+        if constexpr (!Pipelined) {
+            rho = obs::traced(obs::Phase::reduction, "reduction", [&] {
+                return blas::dot(ConstVecView<real_type>(r),
+                                 ConstVecView<real_type>(r_hat));
+            });
+        }
         if (rho == real_type{0} || omega == real_type{0}) {
             // Serious breakdown: the Krylov space cannot be extended.
             return {iter, r_norm, false,
@@ -116,7 +137,8 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
             return {iter, r_norm, false, FailureClass::breakdown_rho};
         }
         alpha = rho / r_hat_v;
-        // s = r - alpha * v fused with ||s||.
+        // s = r - alpha * v fused with ||s|| (measured, anchoring the
+        // pipelined residual-norm recurrence below).
         const real_type s_norm = obs::traced(obs::Phase::update, "update", [&] {
             return blas::zaxpby_nrm2(real_type{1},
                                      ConstVecView<real_type>(r), -alpha,
@@ -130,12 +152,24 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
                     [&] { prec.apply(ConstVecView<real_type>(s), s_hat); });
         obs::traced(obs::Phase::spmv, "spmv",
                     [&] { spmv(a, ConstVecView<real_type>(s_hat), t); });
-        // t.t and t.s in one sweep over t.
+        // t.t and t.s in one sweep over t; the pipelined quad reduction
+        // adds s.r_hat and t.r_hat for the recurrences (t.t and t.s stay
+        // bit-identical to the classic dual dot).
         real_type t_t;
         real_type t_s;
+        real_type s_rhat;
+        real_type t_rhat;
         obs::traced(obs::Phase::reduction, "reduction", [&] {
-            blas::dot2(ConstVecView<real_type>(t), ConstVecView<real_type>(t),
-                       ConstVecView<real_type>(s), t_t, t_s);
+            if constexpr (Pipelined) {
+                blas::dot4(ConstVecView<real_type>(t),
+                           ConstVecView<real_type>(s),
+                           ConstVecView<real_type>(r_hat), t_t, t_s, s_rhat,
+                           t_rhat);
+            } else {
+                blas::dot2(ConstVecView<real_type>(t),
+                           ConstVecView<real_type>(t),
+                           ConstVecView<real_type>(s), t_t, t_s);
+            }
         });
         if (t_t == real_type{0}) {
             blas::axpy(alpha, ConstVecView<real_type>(p_hat), x);
@@ -151,13 +185,25 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
             blas::axpbypcz(alpha, ConstVecView<real_type>(p_hat), omega,
                            ConstVecView<real_type>(s_hat), real_type{1}, x);
         });
-        // r = s - omega * t fused with ||r||.
-        r_norm = obs::traced(obs::Phase::update, "update", [&] {
-            return blas::zaxpby_nrm2(real_type{1},
-                                     ConstVecView<real_type>(s), -omega,
-                                     ConstVecView<real_type>(t), r);
-        });
+        // r = s - omega * t, fused with ||r|| on the classic kernel. The
+        // pipelined sweep fuses no norm: ||r|| and the next rho come from
+        // the dot4 results, which is the whole point.
         rho_old = rho;
+        if constexpr (Pipelined) {
+            obs::traced(obs::Phase::update, "update", [&] {
+                blas::zaxpby(real_type{1}, ConstVecView<real_type>(s),
+                             -omega, ConstVecView<real_type>(t), r);
+            });
+            r_norm = recurrence_norm(s_norm * s_norm - 2 * omega * t_s +
+                                     omega * omega * t_t);
+            rho = s_rhat - omega * t_rhat;
+        } else {
+            r_norm = obs::traced(obs::Phase::update, "update", [&] {
+                return blas::zaxpby_nrm2(real_type{1},
+                                         ConstVecView<real_type>(s), -omega,
+                                         ConstVecView<real_type>(t), r);
+            });
+        }
         if (history != nullptr) {
             history->push_back(r_norm);
         }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "blas/kernels.hpp"
+#include "core/pipelined.hpp"
 #include "core/workspace.hpp"
 #include "obs/telemetry.hpp"
 #include "util/types.hpp"
@@ -22,7 +23,15 @@ inline constexpr int cg_work_vectors = 4;
 /// Solves A x = b with preconditioned CG. `history`, when non-null,
 /// receives the residual norm at the top of every iteration (same
 /// contract as `bicgstab_kernel`).
-template <typename MatrixView, typename Prec, typename Stop>
+///
+/// `Pipelined` selects the pipelined recurrences (core/pipelined.hpp): one
+/// dot3_nrm2 reduction sweep per iteration, with the r.z dot folded into
+/// the preconditioner sweep via Prec::apply_dot. alpha and beta are built
+/// from the same dot values in both variants, so the iterates are
+/// bit-identical and only the stop decisions (recurrence norm vs measured
+/// norm) may differ by one iteration.
+template <bool Pipelined = false, typename MatrixView, typename Prec,
+          typename Stop>
 EntryResult cg_kernel(const MatrixView& a, ConstVecView<real_type> b,
                       VecView<real_type> x, const Prec& prec,
                       const Stop& stop, int max_iters, Workspace& ws,
@@ -36,19 +45,31 @@ EntryResult cg_kernel(const MatrixView& a, ConstVecView<real_type> b,
 
     const real_type b_norm = blas::nrm2(b);
 
+    // z = M^-1 r and r . z: one fused sweep on the pipelined kernel, a
+    // preconditioner sweep plus a dot on the classic one.
+    const auto precondition = [&] {
+        if constexpr (Pipelined) {
+            return obs::traced(obs::Phase::precond, "precond_apply", [&] {
+                return prec.apply_dot(ConstVecView<real_type>(r), z);
+            });
+        } else {
+            obs::traced(obs::Phase::precond, "precond_apply",
+                        [&] { prec.apply(ConstVecView<real_type>(r), z); });
+            return obs::traced(obs::Phase::reduction, "reduction", [&] {
+                return blas::dot(ConstVecView<real_type>(r),
+                                 ConstVecView<real_type>(z));
+            });
+        }
+    };
+
     obs::traced(obs::Phase::spmv, "spmv", [&] { spmv(a, ConstVecView<real_type>(x), r); });
     blas::axpby(real_type{1}, b, real_type{-1}, r);
     real_type r_norm = obs::traced(
         obs::Phase::reduction, "reduction",
         [&] { return blas::nrm2(ConstVecView<real_type>(r)); });
 
-    obs::traced(obs::Phase::precond, "precond_apply",
-                [&] { prec.apply(ConstVecView<real_type>(r), z); });
+    real_type rz = precondition();
     blas::copy(ConstVecView<real_type>(z), p);
-    real_type rz = obs::traced(obs::Phase::reduction, "reduction", [&] {
-        return blas::dot(ConstVecView<real_type>(r),
-                         ConstVecView<real_type>(z));
-    });
     const real_type r0 = r_norm;
 
     if (history != nullptr) {
@@ -68,9 +89,22 @@ EntryResult cg_kernel(const MatrixView& a, ConstVecView<real_type> b,
         }
         obs::traced(obs::Phase::spmv, "spmv",
                     [&] { spmv(a, ConstVecView<real_type>(p), q); });
-        const real_type pq = obs::traced(obs::Phase::reduction, "reduction", [&] {
-            return blas::dot(ConstVecView<real_type>(p),
-                             ConstVecView<real_type>(q));
+        // p.q; the pipelined sweep also yields q.q, q.r and the measured
+        // ||r||: everything the residual-norm recurrence needs.
+        real_type pq;
+        real_type qq;
+        real_type qr;
+        real_type r_meas;
+        obs::traced(obs::Phase::reduction, "reduction", [&] {
+            if constexpr (Pipelined) {
+                blas::dot3_nrm2(ConstVecView<real_type>(q),
+                                ConstVecView<real_type>(p),
+                                ConstVecView<real_type>(r), pq, qq, qr,
+                                r_meas);
+            } else {
+                pq = blas::dot(ConstVecView<real_type>(p),
+                               ConstVecView<real_type>(q));
+            }
         });
         if (pq <= real_type{0}) {
             // Indefinite matrix: CG is not applicable.
@@ -78,16 +112,23 @@ EntryResult cg_kernel(const MatrixView& a, ConstVecView<real_type> b,
         }
         const real_type alpha = rz / pq;
         blas::axpy(alpha, ConstVecView<real_type>(p), x);
-        // r -= alpha * q fused with ||r|| (one sweep instead of two).
-        r_norm = obs::traced(obs::Phase::update, "update", [&] {
-            return blas::axpy_nrm2(-alpha, ConstVecView<real_type>(q), r);
-        });
-        obs::traced(obs::Phase::precond, "precond_apply",
-                    [&] { prec.apply(ConstVecView<real_type>(r), z); });
-        const real_type rz_new = obs::traced(obs::Phase::reduction, "reduction", [&] {
-            return blas::dot(ConstVecView<real_type>(r),
-                             ConstVecView<real_type>(z));
-        });
+        // r -= alpha * q, fused with ||r|| on the classic kernel (one sweep
+        // instead of two). The pipelined norm is ||r - alpha q||^2
+        // re-anchored at this iteration's measured ||r||, so recurrence
+        // rounding cannot compound.
+        if constexpr (Pipelined) {
+            obs::traced(obs::Phase::update, "update", [&] {
+                blas::axpy(-alpha, ConstVecView<real_type>(q), r);
+            });
+            r_norm = recurrence_norm(r_meas * r_meas - 2 * alpha * qr +
+                                     alpha * alpha * qq);
+        } else {
+            r_norm = obs::traced(obs::Phase::update, "update", [&] {
+                return blas::axpy_nrm2(-alpha, ConstVecView<real_type>(q),
+                                       r);
+            });
+        }
+        const real_type rz_new = precondition();
         const real_type beta = rz_new / rz;
         obs::traced(obs::Phase::update, "update", [&] {
             blas::axpby(real_type{1}, ConstVecView<real_type>(z), beta, p);

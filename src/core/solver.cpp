@@ -1,9 +1,5 @@
 #include "core/solver.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <exception>
 
@@ -15,7 +11,6 @@
 #include "core/forensics.hpp"
 #include "core/gmres.hpp"
 #include "core/lockstep.hpp"
-#include "core/pipelined.hpp"
 #include "core/richardson.hpp"
 #include "core/workspace.hpp"
 #include "obs/attribution.hpp"
@@ -28,24 +23,6 @@
 namespace bsis {
 
 namespace {
-
-int max_threads()
-{
-#ifdef _OPENMP
-    return omp_get_max_threads();
-#else
-    return 1;
-#endif
-}
-
-int this_thread()
-{
-#ifdef _OPENMP
-    return omp_get_thread_num();
-#else
-    return 0;
-#endif
-}
 
 /// Number of workspace slots a composition needs (solver scratch +
 /// preconditioner storage).
@@ -112,83 +89,89 @@ int effective_lockstep_width(int requested)
     return 0;
 }
 
-/// Dispatches the runtime solver choice to the compile-time lockstep
-/// kernel for one width.
-template <int W, bool UseJacobi, typename BatchMatrix, typename Stop>
-void run_lockstep_width(const BatchMatrix& a, const BatchVector<real_type>& b,
+/// The plan a solve runs: the lockstep width (0 selects the scalar path)
+/// and whether BiCGStab / CG run the pipelined recurrences. Pricing,
+/// dispatch and the solve.start event all read this one decision.
+struct ExecutionPlan {
+    int lockstep_width = 0;
+    bool pipelined = false;
+};
+
+template <typename BatchMatrix>
+ExecutionPlan plan_solve(const SolverSettings& s)
+{
+    ExecutionPlan plan;
+    // The pipelined variants ARE fused kernels; without fused kernels the
+    // flag is ignored.
+    plan.pipelined = s.pipelined && s.fused_kernels;
+    // Lane kernels exist for fused BiCGStab / CG with identity or scalar
+    // Jacobi on the shared-pattern formats; anything else runs scalar.
+    if (lockstep_supported_format<BatchMatrix> &&
+        (s.solver == SolverType::bicgstab || s.solver == SolverType::cg) &&
+        s.precond != PrecondType::block_jacobi && s.fused_kernels) {
+        plan.lockstep_width = effective_lockstep_width(s.lockstep_width);
+    }
+    return plan;
+}
+
+/// Runs the batch on the lockstep path with lane algorithm
+/// Lanes<width, Jacobi, Pipelined>: the one place that lists the
+/// instantiated widths.
+template <template <int, bool, bool> class Lanes, bool Jacobi,
+          bool Pipelined, typename BatchMatrix, typename Stop>
+void run_lockstep_width(int width, const BatchMatrix& a,
+                        const BatchVector<real_type>& b,
                         BatchVector<real_type>& x,
                         const SolverSettings& settings, const Stop& stop,
-                        BatchLog& log, WorkspacePool& pool,
-                        obs::ConvergenceHistory* history)
+                        BatchLog& log, obs::ConvergenceHistory* history)
 {
-    if (settings.solver == SolverType::cg) {
-        if (settings.pipelined) {
-            run_batch_lockstep<W, UseJacobi, true, true>(
-                a, b, x, !settings.use_initial_guess, stop,
-                settings.max_iterations, pool, log, history);
-        } else {
-            run_batch_lockstep<W, UseJacobi, true, false>(
-                a, b, x, !settings.use_initial_guess, stop,
-                settings.max_iterations, pool, log, history);
-        }
-    } else {
-        if (settings.pipelined) {
-            run_batch_lockstep<W, UseJacobi, false, true>(
-                a, b, x, !settings.use_initial_guess, stop,
-                settings.max_iterations, pool, log, history);
-        } else {
-            run_batch_lockstep<W, UseJacobi, false, false>(
-                a, b, x, !settings.use_initial_guess, stop,
-                settings.max_iterations, pool, log, history);
-        }
+    auto& pool = solve_scratch().lockstep_workspaces;
+    const bool zero_guess = !settings.use_initial_guess;
+    const int max_iters = settings.max_iterations;
+    switch (width) {
+    case 2:
+        run_batch_lockstep<Lanes<2, Jacobi, Pipelined>>(
+            a, b, x, zero_guess, stop, max_iters, pool, log, history);
+        break;
+    case 4:
+        run_batch_lockstep<Lanes<4, Jacobi, Pipelined>>(
+            a, b, x, zero_guess, stop, max_iters, pool, log, history);
+        break;
+    case 8:
+        run_batch_lockstep<Lanes<8, Jacobi, Pipelined>>(
+            a, b, x, zero_guess, stop, max_iters, pool, log, history);
+        break;
+    default:
+        run_batch_lockstep<Lanes<16, Jacobi, Pipelined>>(
+            a, b, x, zero_guess, stop, max_iters, pool, log, history);
+        break;
     }
 }
 
-/// Runs the batch on the SIMD lockstep path when the composition supports
-/// it; returns false (without touching x or the log) when the scalar path
-/// must be used instead.
-template <typename BatchMatrix, typename Prec, typename Stop>
-bool try_run_lockstep(const BatchMatrix& a, const BatchVector<real_type>& b,
-                      BatchVector<real_type>& x,
-                      const SolverSettings& settings, const Stop& stop,
-                      BatchLog& log, obs::ConvergenceHistory* history)
+/// Runs the batch on the SIMD lockstep path at the plan's width, with the
+/// lane algorithm of the plan's solver and variant.
+template <typename Prec, typename BatchMatrix, typename Stop>
+void run_lockstep(const BatchMatrix& a, const BatchVector<real_type>& b,
+                  BatchVector<real_type>& x, const SolverSettings& settings,
+                  const ExecutionPlan& plan, const Stop& stop, BatchLog& log,
+                  obs::ConvergenceHistory* history)
 {
-    if constexpr (!lockstep_supported_format<BatchMatrix> ||
-                  std::is_same_v<Prec, BlockJacobiPrec>) {
-        return false;
+    constexpr bool jacobi = std::is_same_v<Prec, JacobiPrec>;
+    const int w = plan.lockstep_width;
+    if (settings.solver == SolverType::cg) {
+        if (plan.pipelined) {
+            run_lockstep_width<CgLanes, jacobi, true>(w, a, b, x, settings,
+                                                      stop, log, history);
+        } else {
+            run_lockstep_width<CgLanes, jacobi, false>(w, a, b, x, settings,
+                                                       stop, log, history);
+        }
+    } else if (plan.pipelined) {
+        run_lockstep_width<BicgstabLanes, jacobi, true>(
+            w, a, b, x, settings, stop, log, history);
     } else {
-        if (settings.solver != SolverType::bicgstab &&
-            settings.solver != SolverType::cg) {
-            return false;
-        }
-        if (!settings.fused_kernels) {
-            return false;
-        }
-        const int w = effective_lockstep_width(settings.lockstep_width);
-        if (w == 0) {
-            return false;
-        }
-        constexpr bool use_jacobi = std::is_same_v<Prec, JacobiPrec>;
-        auto& pool = solve_scratch().lockstep_workspaces;
-        switch (w) {
-        case 2:
-            run_lockstep_width<2, use_jacobi>(a, b, x, settings, stop, log,
-                                              pool, history);
-            break;
-        case 4:
-            run_lockstep_width<4, use_jacobi>(a, b, x, settings, stop, log,
-                                              pool, history);
-            break;
-        case 8:
-            run_lockstep_width<8, use_jacobi>(a, b, x, settings, stop, log,
-                                              pool, history);
-            break;
-        default:
-            run_lockstep_width<16, use_jacobi>(a, b, x, settings, stop, log,
-                                               pool, history);
-            break;
-        }
-        return true;
+        run_lockstep_width<BicgstabLanes, jacobi, false>(
+            w, a, b, x, settings, stop, log, history);
     }
 }
 
@@ -197,17 +180,20 @@ bool try_run_lockstep(const BatchMatrix& a, const BatchVector<real_type>& b,
 template <typename BatchMatrix, typename Prec, typename Stop>
 void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
                BatchVector<real_type>& x, const SolverSettings& settings,
-               const Stop& stop, BatchLog& log,
+               const ExecutionPlan& plan, const Stop& stop, BatchLog& log,
                obs::ConvergenceHistory* history)
 {
-    if (try_run_lockstep<BatchMatrix, Prec>(a, b, x, settings, stop, log,
-                                            history)) {
-        return;
+    if constexpr (lockstep_supported_format<BatchMatrix> &&
+                  !std::is_same_v<Prec, BlockJacobiPrec>) {
+        if (plan.lockstep_width > 0) {
+            run_lockstep<Prec>(a, b, x, settings, plan, stop, log, history);
+            return;
+        }
     }
     const size_type nbatch = a.num_batch();
     const index_type n = x.len();
     const int solver_slots = workspace_slots(settings);
-    const int nthreads = max_threads();
+    const int nthreads = lockstep::max_threads();
 
     auto& scratch = solve_scratch();
     scratch.workspaces.require(nthreads, n, solver_slots);
@@ -231,7 +217,8 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
         try {
         obs::ScopedSpan entry_span("solve_entry", "solver",
                                    static_cast<std::int64_t>(i));
-        auto& ws = workspaces.at(this_thread());
+        const int thread = lockstep::this_thread();
+        auto& ws = workspaces.at(thread);
         const auto av = a.entry(i);
         const auto bv = b.entry(i);
         auto xv = x.entry(i);
@@ -278,10 +265,10 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
                          ? bicgstab_kernel_unfused(av, bv, xv, prec, stop,
                                                    settings.max_iterations,
                                                    ws, 0, traj_ptr)
-                     : settings.pipelined
-                         ? pipelined_bicgstab_kernel(
-                               av, bv, xv, prec, stop,
-                               settings.max_iterations, ws, 0, traj_ptr)
+                     : plan.pipelined
+                         ? bicgstab_kernel<true>(av, bv, xv, prec, stop,
+                                                 settings.max_iterations, ws,
+                                                 0, traj_ptr)
                          : bicgstab_kernel(av, bv, xv, prec, stop,
                                            settings.max_iterations, ws, 0,
                                            traj_ptr);
@@ -295,10 +282,10 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
                                 settings.max_iterations, ws, 0, traj_ptr);
             break;
         case SolverType::cg:
-            result = settings.fused_kernels && settings.pipelined
-                         ? pipelined_cg_kernel(av, bv, xv, prec, stop,
-                                               settings.max_iterations, ws,
-                                               0, traj_ptr)
+            result = plan.pipelined
+                         ? cg_kernel<true>(av, bv, xv, prec, stop,
+                                           settings.max_iterations, ws, 0,
+                                           traj_ptr)
                          : cg_kernel(av, bv, xv, prec, stop,
                                      settings.max_iterations, ws, 0,
                                      traj_ptr);
@@ -307,8 +294,7 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
             result = gmres_kernel(
                 av, bv, xv, prec, stop, settings.max_iterations,
                 settings.gmres_restart, ws,
-                gmres_scratch[static_cast<std::size_t>(this_thread())], 0,
-                traj_ptr);
+                gmres_scratch[static_cast<std::size_t>(thread)], 0, traj_ptr);
             break;
         case SolverType::richardson:
             result = richardson_kernel(av, bv, xv, prec, stop,
@@ -326,7 +312,7 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
             break;
         }
         }
-        stage.record(this_thread(), i, result.iterations,
+        stage.record(thread, i, result.iterations,
                      result.residual_norm, result.converged,
                      result.failure);
         if (history != nullptr) {
@@ -354,16 +340,17 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
 template <typename BatchMatrix, typename Prec>
 void dispatch_stop(const BatchMatrix& a, const BatchVector<real_type>& b,
                    BatchVector<real_type>& x, const SolverSettings& settings,
-                   BatchLog& log, obs::ConvergenceHistory* history)
+                   const ExecutionPlan& plan, BatchLog& log,
+                   obs::ConvergenceHistory* history)
 {
     switch (settings.stop) {
     case StopType::abs_residual:
-        run_batch<BatchMatrix, Prec>(a, b, x, settings,
+        run_batch<BatchMatrix, Prec>(a, b, x, settings, plan,
                                      AbsResidualStop{settings.tolerance},
                                      log, history);
         break;
     case StopType::rel_residual:
-        run_batch<BatchMatrix, Prec>(a, b, x, settings,
+        run_batch<BatchMatrix, Prec>(a, b, x, settings, plan,
                                      RelResidualStop{settings.tolerance},
                                      log, history);
         break;
@@ -541,6 +528,7 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
         obs::trace().set_shard_capacity(
             static_cast<std::size_t>(settings.trace_shard_capacity));
     }
+    const ExecutionPlan plan = plan_solve<BatchMatrix>(settings);
     if (obs::events_enabled()) {
         obs::events().emit(
             "solve.start",
@@ -549,8 +537,8 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
              obs::field("rows", static_cast<std::int64_t>(a.rows())),
              obs::field("solver", solver_name(settings.solver)),
              obs::field("precond", precond_name(settings.precond)),
-             obs::field("lockstep_width", settings.lockstep_width),
-             obs::field("pipelined", settings.pipelined)});
+             obs::field("lockstep_width", plan.lockstep_width),
+             obs::field("pipelined", plan.pipelined)});
     }
 
     BatchSolveResult result;
@@ -558,19 +546,8 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
     result.work = work_profile(settings.solver, settings.precond,
                                settings.gmres_restart,
                                settings.block_jacobi_size,
-                               settings.fused_kernels,
-                               settings.fused_kernels && settings.pipelined);
-    // Price the SIMD lanes the lockstep path will actually use (the same
-    // eligibility checks as try_run_lockstep, evaluated up front so the
-    // cost model sees the width even before the solve runs).
-    if (lockstep_supported_format<BatchMatrix> &&
-        (settings.solver == SolverType::bicgstab ||
-         settings.solver == SolverType::cg) &&
-        settings.precond != PrecondType::block_jacobi &&
-        settings.fused_kernels) {
-        const int w = effective_lockstep_width(settings.lockstep_width);
-        result.work.simd_lanes = w > 0 ? w : 1;
-    }
+                               settings.fused_kernels, plan.pipelined);
+    result.work.simd_lanes = std::max(plan.lockstep_width, 1);
     // The flight recorder wants the failing systems' residual
     // trajectories in the bundle sidecar, so an armed recorder forces the
     // history on even when the caller did not ask for it.
@@ -605,15 +582,15 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
     Timer timer;
     switch (settings.precond) {
     case PrecondType::identity:
-        dispatch_stop<BatchMatrix, IdentityPrec>(a, b, x, settings,
+        dispatch_stop<BatchMatrix, IdentityPrec>(a, b, x, settings, plan,
                                                  result.log, history);
         break;
     case PrecondType::jacobi:
-        dispatch_stop<BatchMatrix, JacobiPrec>(a, b, x, settings,
+        dispatch_stop<BatchMatrix, JacobiPrec>(a, b, x, settings, plan,
                                                result.log, history);
         break;
     case PrecondType::block_jacobi:
-        dispatch_stop<BatchMatrix, BlockJacobiPrec>(a, b, x, settings,
+        dispatch_stop<BatchMatrix, BlockJacobiPrec>(a, b, x, settings, plan,
                                                     result.log, history);
         break;
     }

@@ -195,7 +195,7 @@ void trace_bicgstab(BlockTracer& tracer, const AddressMap& map,
                     const StorageConfig& config);
 
 /// Pipelined fused BiCGStab solve of one system (the traced twin of
-/// pipelined_bicgstab_kernel): the standalone rho reduction disappears
+/// bicgstab_kernel<true>): the standalone rho reduction disappears
 /// into the recurrence, r_hat.v fuses into the SpMV that produces v, the
 /// omega/rho reductions fuse into the SpMV that produces t (a three-result
 /// combine), and the r update runs as a pure streaming sweep. 14 block

@@ -140,18 +140,27 @@ inline void spmv_transpose(CsrView<T> a, ConstVecView<T> x, VecView<T> y)
     }
 }
 
+/// Diagonal entry of row r of one CSR entry: the sum of every slot on the
+/// diagonal, which is what spmv applies when a pattern repeats it.
+template <typename T>
+inline T diagonal_at(CsrView<T> a, index_type r)
+{
+    T d{};
+    for (index_type k = a.row_ptrs[r]; k < a.row_ptrs[r + 1]; ++k) {
+        if (a.col_idxs[k] == r) {
+            d += a.values[k];
+        }
+    }
+    return d;
+}
+
 /// Extracts the diagonal of one CSR entry (scalar-Jacobi setup).
 template <typename T>
 inline void extract_diagonal(CsrView<T> a, VecView<T> diag)
 {
     BSIS_ASSERT(diag.len == a.rows);
     for (index_type r = 0; r < a.rows; ++r) {
-        diag[r] = T{};
-        for (index_type k = a.row_ptrs[r]; k < a.row_ptrs[r + 1]; ++k) {
-            if (a.col_idxs[k] == r) {
-                diag[r] = a.values[k];
-            }
-        }
+        diag[r] = diagonal_at(a, r);
     }
 }
 

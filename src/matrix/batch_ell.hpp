@@ -152,18 +152,27 @@ inline void spmv_transpose(EllView<T> a, ConstVecView<T> x, VecView<T> y)
     }
 }
 
+/// Diagonal entry of row r of one ELL entry: the sum of every slot on the
+/// diagonal, which is what spmv applies when a pattern repeats it.
+template <typename T>
+inline T diagonal_at(EllView<T> a, index_type r)
+{
+    T d{};
+    for (index_type k = 0; k < a.nnz_per_row; ++k) {
+        if (a.col_idxs[a.at(r, k)] == r) {
+            d += a.values[a.at(r, k)];
+        }
+    }
+    return d;
+}
+
 /// Extracts the diagonal of one ELL entry (scalar-Jacobi setup).
 template <typename T>
 inline void extract_diagonal(EllView<T> a, VecView<T> diag)
 {
     BSIS_ASSERT(diag.len == a.rows);
     for (index_type r = 0; r < a.rows; ++r) {
-        diag[r] = T{};
-        for (index_type k = 0; k < a.nnz_per_row; ++k) {
-            if (a.col_idxs[a.at(r, k)] == r) {
-                diag[r] = a.values[a.at(r, k)];
-            }
-        }
+        diag[r] = diagonal_at(a, r);
     }
 }
 

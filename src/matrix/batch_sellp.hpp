@@ -174,21 +174,29 @@ inline void spmv_transpose(SellpView<T> a, ConstVecView<T> x, VecView<T> y)
     }
 }
 
+/// Diagonal entry of row r of one SELL-P entry: the sum of every slot on
+/// the diagonal, which is what spmv applies when a pattern repeats it.
+template <typename T>
+inline T diagonal_at(SellpView<T> a, index_type r)
+{
+    const index_type slice = r / a.slice_size;
+    const index_type width = a.slice_sets[slice + 1] - a.slice_sets[slice];
+    T d{};
+    for (index_type k = 0; k < width; ++k) {
+        if (a.col_idxs[a.at(r, k)] == r) {
+            d += a.values[a.at(r, k)];
+        }
+    }
+    return d;
+}
+
 /// Extracts the diagonal of one SELL-P entry (scalar-Jacobi setup).
 template <typename T>
 inline void extract_diagonal(SellpView<T> a, VecView<T> diag)
 {
     BSIS_ASSERT(diag.len == a.rows);
     for (index_type r = 0; r < a.rows; ++r) {
-        diag[r] = T{};
-        const index_type slice = r / a.slice_size;
-        const index_type width =
-            a.slice_sets[slice + 1] - a.slice_sets[slice];
-        for (index_type k = 0; k < width; ++k) {
-            if (a.col_idxs[a.at(r, k)] == r) {
-                diag[r] = a.values[a.at(r, k)];
-            }
-        }
+        diag[r] = diagonal_at(a, r);
     }
 }
 

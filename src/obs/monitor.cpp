@@ -80,21 +80,6 @@ bool compare(AlertOp op, double value, double threshold)
     return false;
 }
 
-const char* op_name(AlertOp op)
-{
-    switch (op) {
-    case AlertOp::gt:
-        return ">";
-    case AlertOp::ge:
-        return ">=";
-    case AlertOp::lt:
-        return "<";
-    case AlertOp::le:
-        return "<=";
-    }
-    return ">";
-}
-
 /// Prefix-wildcard match: a metric pattern ending in `*` matches every
 /// name with that prefix; otherwise exact.
 bool metric_matches(const std::string& pattern, const std::string& name)

@@ -2,13 +2,16 @@
 // with the scalar path across widths and formats, degenerate batch shapes
 // (fewer systems than lanes, ragged tails, empty batches, instantly
 // converged lanes beside iterating lane-mates), warm starts, relative
-// stopping, and the fallback rules for unsupported compositions.
+// stopping, a diagonal repeated in the pattern, and the fallback rules for
+// unsupported compositions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "core/solver.hpp"
+#include "io/matrix_market.hpp"
 #include "matrix/conversions.hpp"
 #include "matrix/stencil.hpp"
 #include "util/rng.hpp"
@@ -148,7 +151,8 @@ TEST_P(LockstepWidth, CgOnSpdBatchMatchesScalar)
     expect_lockstep_matches_scalar(p.a, p.a, p.b, s, GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, LockstepWidth, ::testing::Values(2, 4, 8));
+INSTANTIATE_TEST_SUITE_P(Widths, LockstepWidth,
+                         ::testing::Values(2, 4, 8, 16));
 
 TEST(Lockstep, BatchSmallerThanWidth)
 {
@@ -260,6 +264,60 @@ TEST(Lockstep, OddWidthRoundsDownToSupported)
         EXPECT_EQ(result.work.simd_lanes, requested == 3 ? 2 : 16);
     }
     expect_lockstep_matches_scalar(p.a, p.a, p.b, bicgstab_jacobi(), 3);
+}
+
+TEST(Lockstep, RepeatedDiagonalEntryMatchesScalar)
+{
+    // io::from_coo stores a diagonal triplet given twice as two pattern
+    // slots: the value in the first, 0 in the second. SpMV applies their
+    // sum, so both Jacobi paths must invert that same sum.
+    const index_type n = 4;
+    const size_type nbatch = 6;
+    std::vector<io::Coo> entries;
+    for (size_type e = 0; e < nbatch; ++e) {
+        io::Coo coo;
+        coo.rows = n;
+        coo.cols = n;
+        for (index_type r = 0; r < n; ++r) {
+            for (index_type c = std::max(r - 1, index_type{0});
+                 c <= std::min(r + 1, n - 1); ++c) {
+                coo.row_idxs.push_back(r);
+                coo.col_idxs.push_back(c);
+                coo.values.push_back(r == c ? 3.0 + e : -1.0);
+            }
+        }
+        coo.row_idxs.push_back(1);
+        coo.col_idxs.push_back(1);
+        coo.values.push_back(4.0 + e);
+        entries.push_back(coo);
+    }
+    const auto a = io::from_coo(entries);
+    BatchVector<real_type> b(nbatch, n);
+    Rng rng(3);
+    for (size_type i = 0; i < nbatch; ++i) {
+        for (index_type k = 0; k < n; ++k) {
+            b.entry(i)[k] = rng.uniform(-1.0, 1.0);
+        }
+    }
+    auto s = bicgstab_jacobi();
+    BatchVector<real_type> x_scalar(nbatch, n);
+    const auto scalar = solve_batch(a, b, x_scalar, s);
+    EXPECT_TRUE(scalar.log.all_converged());
+    for (const int width : {2, 8}) {
+        s.lockstep_width = width;
+        BatchVector<real_type> x_lock(nbatch, n);
+        const auto lock = solve_batch(a, b, x_lock, s);
+        for (size_type i = 0; i < nbatch; ++i) {
+            EXPECT_EQ(scalar.log.iterations(i), lock.log.iterations(i))
+                << "width " << width << " system " << i;
+            EXPECT_EQ(scalar.log.converged(i), lock.log.converged(i))
+                << "width " << width << " system " << i;
+            for (index_type k = 0; k < n; ++k) {
+                EXPECT_NEAR(x_scalar.entry(i)[k], x_lock.entry(i)[k], 1e-12)
+                    << "width " << width << " system " << i;
+            }
+        }
+    }
 }
 
 TEST(Lockstep, UnsupportedCompositionsFallBackToScalarPath)

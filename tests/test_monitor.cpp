@@ -704,10 +704,16 @@ TEST_F(MonitorIntegrationTest, SolveEmitsStartAndEndEvents)
     SolverSettings settings;
     BatchVector<real_type> x(p.a.num_batch(), p.a.rows());
     solve_batch(p.a, p.b, x, settings);
+    // Block Jacobi has no lockstep kernel: the event reports the scalar
+    // plan that ran, not the requested width.
+    SolverSettings block = settings;
+    block.precond = PrecondType::block_jacobi;
+    block.lockstep_width = 8;
+    solve_batch(p.a, p.b, x, block);
     obs::close_events();
 
     const auto lines = read_lines(path);
-    ASSERT_GE(lines.size(), 2u);
+    ASSERT_GE(lines.size(), 4u);
     EXPECT_NE(lines[0].find("\"event\": \"solve.start\""),
               std::string::npos);
     EXPECT_NE(lines[0].find("\"solver\": \"bicgstab\""),
@@ -715,6 +721,9 @@ TEST_F(MonitorIntegrationTest, SolveEmitsStartAndEndEvents)
     EXPECT_NE(lines[1].find("\"event\": \"solve.end\""),
               std::string::npos);
     EXPECT_NE(lines[1].find("\"unconverged\": 0"), std::string::npos);
+    EXPECT_NE(lines[2].find("\"precond\": \"block_jacobi\""),
+              std::string::npos);
+    EXPECT_NE(lines[2].find("\"lockstep_width\": 0"), std::string::npos);
     fs::remove(path);
 }
 

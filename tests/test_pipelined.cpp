@@ -120,7 +120,7 @@ SolverSettings base_settings(SolverType solver, PrecondType precond)
     return s;
 }
 
-/// Widths 0 (scalar path), 4, and 8 (lockstep path).
+/// Width 0 (scalar path) and every instantiated lockstep width.
 class PipelinedWidth : public ::testing::TestWithParam<int> {};
 
 TEST_P(PipelinedWidth, BicgstabMatchesClassicAcrossFormatsAndPreconds)
@@ -219,7 +219,8 @@ TEST_P(PipelinedWidth, ConvergenceHistoryCoversTheSameSpan)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Paths, PipelinedWidth, ::testing::Values(0, 4, 8));
+INSTANTIATE_TEST_SUITE_P(Paths, PipelinedWidth,
+                         ::testing::Values(0, 2, 4, 8, 16));
 
 // ---------------------------------------------------------------------
 // Failure-classification parity on a seeded breakdown/NaN batch
