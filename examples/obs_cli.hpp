@@ -14,10 +14,6 @@
 //                        failure classes) rendered to FILE at exit --
 //                        the same document `tools/solve_report` builds
 //                        from a metrics snapshot
-//   --drift-dump=DIR     arm the drift annotation dump: every solve
-//                        whose measured-vs-modeled phase comparison
-//                        alarms writes a drift_<seq>_<prefix>.json
-//                        describing the disagreement under DIR
 //   --monitor[=tick_ms]  metrics registry on; start the live monitor
 //                        (background sampler + alert engine) at the given
 //                        tick (default 250 ms)
@@ -25,16 +21,13 @@
 //                        atomically rewritten to FILE every tick (point
 //                        `obs_top FILE` or a node_exporter textfile
 //                        collector at it)
-//   --prom-port=N        implies --monitor; serve the exposition on
-//                        127.0.0.1:N (N=0 binds an ephemeral port; the
-//                        bound port is printed)
 //   --alerts=FILE        implies --monitor; replace the default alert
 //                        rules with FILE (one rule per line, see
 //                        obs/monitor.hpp for the grammar)
 //   --events=FILE        structured JSON-lines event log (solve start/end,
-//                        failure captures, drift alarms, alert
-//                        transitions) appended to FILE with size-capped
-//                        rotation
+//                        failure captures, drift alarms with every
+//                        check, alert transitions) appended to FILE with
+//                        size-capped rotation
 //   --trace-buffer=N     cap each trace shard at N spans; overflow is
 //                        dropped and counted in `obs.trace.dropped`
 //
@@ -54,7 +47,6 @@
 #include <memory>
 #include <string>
 
-#include "obs/attribution.hpp"
 #include "obs/events.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/monitor.hpp"
@@ -80,9 +72,6 @@ public:
                     std::make_unique<obs::FlightRecorder>(argv[i] + 19);
             } else if (std::strncmp(argv[i], "--report=", 9) == 0) {
                 report_path_ = argv[i] + 9;
-            } else if (std::strncmp(argv[i], "--drift-dump=", 13) == 0) {
-                drift_dump_ = true;
-                obs::set_drift_dump_dir(argv[i] + 13);
             } else if (std::strcmp(argv[i], "--monitor") == 0) {
                 monitor_requested_ = true;
             } else if (std::strncmp(argv[i], "--monitor=", 10) == 0) {
@@ -92,10 +81,6 @@ public:
             } else if (std::strncmp(argv[i], "--prom=", 7) == 0) {
                 monitor_requested_ = true;
                 monitor_config_.prom_path = argv[i] + 7;
-            } else if (std::strncmp(argv[i], "--prom-port=", 12) == 0) {
-                monitor_requested_ = true;
-                monitor_config_.http = true;
-                monitor_config_.http_port = std::atoi(argv[i] + 12);
             } else if (std::strncmp(argv[i], "--alerts=", 9) == 0) {
                 monitor_requested_ = true;
                 alerts_path_ = argv[i] + 9;
@@ -136,10 +121,6 @@ public:
             monitor_ = std::make_unique<obs::Monitor>(obs::metrics(),
                                                       monitor_config_);
             monitor_->start();
-            if (monitor_config_.http) {
-                std::cout << "[obs] prometheus endpoint on 127.0.0.1:"
-                          << monitor_->http_port() << '\n';
-            }
         }
     }
 
@@ -156,7 +137,7 @@ public:
                !events_path_.empty();
     }
 
-    /// The live monitor, or nullptr when --monitor/--prom/--prom-port was
+    /// The live monitor, or nullptr when --monitor/--prom/--alerts was
     /// not given.
     obs::Monitor* monitor() const { return monitor_.get(); }
 
@@ -202,23 +183,18 @@ public:
         }
         if (!report_path_.empty()) {
             obs::sync_trace_dropped_gauge();
-            obs::MetricsDocument doc;
-            if (!obs::parse_metrics_json(obs::metrics().snapshot_json(),
-                                         doc)) {
-                std::cerr << "[obs] failed to build report snapshot\n";
+            std::map<std::string, obs::TraceSpanStats> spans;
+            obs::summarize_trace_json(obs::trace().chrome_trace_json(),
+                                      spans);
+            const auto report =
+                obs::render_solve_report(obs::metrics().snapshot(), spans);
+            std::ofstream out(report_path_);
+            if (out && (out << report.text)) {
+                std::cout << "[obs] report written to " << report_path_
+                          << '\n';
             } else {
-                std::map<std::string, obs::TraceSpanStats> spans;
-                obs::summarize_trace_json(obs::trace().chrome_trace_json(),
-                                          spans);
-                const auto report = obs::render_solve_report(doc, spans);
-                std::ofstream out(report_path_);
-                if (out && (out << report.text)) {
-                    std::cout << "[obs] report written to " << report_path_
-                              << '\n';
-                } else {
-                    std::cerr << "[obs] failed to write report to "
-                              << report_path_ << '\n';
-                }
+                std::cerr << "[obs] failed to write report to "
+                          << report_path_ << '\n';
             }
             report_path_.clear();
             if (metrics_path_.empty()) {
@@ -249,10 +225,6 @@ public:
             }
             metrics_path_.clear();
         }
-        if (drift_dump_) {
-            obs::set_drift_dump_dir("");
-            drift_dump_ = false;
-        }
         if (recorder_ != nullptr) {
             std::cout << "[obs] flight recorder: " << recorder_->captured()
                       << " of " << recorder_->seen()
@@ -268,7 +240,6 @@ private:
     std::string report_path_;
     std::string events_path_;
     std::string alerts_path_;
-    bool drift_dump_ = false;
     bool monitor_requested_ = false;
     obs::MonitorConfig monitor_config_;
     std::unique_ptr<obs::Monitor> monitor_;

@@ -43,11 +43,12 @@ trap 'rm -rf "$FORENSICS_DIR"' EXIT
 "$BUILD_DIR/tools/replay_entry" --selftest "$FORENSICS_DIR/bundles" \
     > /dev/null
 
-# Live monitoring: the time-series sampler, alert hysteresis, Prometheus
+# Live monitoring: the sampler's rate math, alert hysteresis, Prometheus
 # exposition round-trip, the event log, and the seeded failure-storm
 # firing/resolved end-to-end. The storm test exports its firing-tick
 # promfile so obs_top's --once gate can be asserted binary-level: it must
-# exit 1 (alerts firing) on the storm exposition and 0 on a healthy one.
+# exit 1 (alerts firing) on the storm exposition, 0 on a healthy one, and
+# 2 when the promfile cannot be read.
 echo "== monitor test tier =="
 MONITOR_DIR=$(mktemp -d)
 trap 'rm -rf "$FORENSICS_DIR" "$MONITOR_DIR"' EXIT
@@ -66,6 +67,13 @@ fi
 "$BUILD_DIR/examples/quickstart" --monitor=50 \
     --prom="$MONITOR_DIR/healthy.prom" > /dev/null
 "$BUILD_DIR/tools/obs_top" --once "$MONITOR_DIR/healthy.prom" > /dev/null
+status=0
+"$BUILD_DIR/tools/obs_top" --once "$MONITOR_DIR/missing.prom" > /dev/null ||
+    status=$?
+if [ "$status" -ne 2 ]; then
+    echo "check.sh: obs_top exited $status, not 2, on a missing promfile" >&2
+    exit 1
+fi
 
 # Pipelined variants: classic-vs-pipelined equivalence across solvers,
 # preconditioners, formats and execution paths, recurrence-drift bounds,

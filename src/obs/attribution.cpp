@@ -1,15 +1,10 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <mutex>
-#include <sstream>
 
 #include "obs/events.hpp"
-#include "obs/json.hpp"
 
 namespace bsis::obs {
 
@@ -287,49 +282,16 @@ void add_scalar_check(DriftReport& report, const std::string& name,
 
 namespace {
 std::mutex drift_mutex;
-std::string drift_dir;
 DriftConfig drift_cfg;
-int drift_dump_seq = 0;
 
-void dump_drift_annotation(const std::string& dir, const std::string& prefix,
-                           const DriftReport& report, int seq)
+void add_check_fields(std::vector<EventField>& fields,
+                      const std::string& name, double measured,
+                      double modeled, double ratio, bool alarmed)
 {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        return;  // annotation is best-effort; metrics already carry the alarm
-    }
-    std::ostringstream name;
-    name << dir << "/drift_" << seq << "_" << prefix << ".json";
-    std::ofstream out(name.str());
-    if (!out) {
-        return;
-    }
-    out << "{\n  \"kind\": \"drift\",\n  \"prefix\": ";
-    json_quote(out, prefix);
-    out << ",\n  \"alarms\": " << report.alarms() << ",\n  \"phases\": [";
-    bool first = true;
-    for (const auto& p : report.phases) {
-        out << (first ? "" : ",") << "\n    {\"phase\": \""
-            << phase_name(p.phase)
-            << "\", \"measured_share\": " << p.measured_share
-            << ", \"modeled_share\": " << p.modeled_share
-            << ", \"ratio\": " << p.ratio
-            << ", \"alarmed\": " << (p.alarmed ? "true" : "false") << "}";
-        first = false;
-    }
-    out << "\n  ],\n  \"scalars\": [";
-    first = true;
-    for (const auto& s : report.scalars) {
-        out << (first ? "" : ",") << "\n    {\"name\": ";
-        json_quote(out, s.name);
-        out << ", \"measured\": " << s.measured
-            << ", \"modeled\": " << s.modeled << ", \"ratio\": " << s.ratio
-            << ", \"alarmed\": " << (s.alarmed ? "true" : "false") << "}";
-        first = false;
-    }
-    out << "\n  ]\n}\n";
+    fields.push_back(field(name + ".measured", measured));
+    fields.push_back(field(name + ".modeled", modeled));
+    fields.push_back(field(name + ".ratio", ratio));
+    fields.push_back(field(name + ".alarmed", alarmed));
 }
 }  // namespace
 
@@ -354,52 +316,23 @@ int record_drift(MetricsRegistry& registry, const std::string& prefix,
         registry.set_named(base + "ratio", s.ratio);
         registry.set_named(base + "alarmed", s.alarmed ? 1.0 : 0.0);
     }
-    if (alarms > 0) {
-        std::string dir;
-        int seq = 0;
-        {
-            std::lock_guard<std::mutex> lock(drift_mutex);
-            dir = drift_dir;
-            seq = drift_dump_seq++;
+    if (alarms > 0 && events_enabled()) {
+        // One record carries every check, so the line is actionable on
+        // its own, without joining against the gauge snapshot.
+        std::vector<EventField> fields{field("prefix", prefix),
+                                       field("alarms", alarms),
+                                       field("checks", checks)};
+        for (const auto& p : report.phases) {
+            add_check_fields(fields, phase_name(p.phase), p.measured_share,
+                             p.modeled_share, p.ratio, p.alarmed);
         }
-        if (!dir.empty()) {
-            dump_drift_annotation(dir, prefix, report, seq);
+        for (const auto& s : report.scalars) {
+            add_check_fields(fields, s.name, s.measured, s.modeled, s.ratio,
+                             s.alarmed);
         }
-        if (events_enabled()) {
-            // Name the worst phase so the event line is actionable on its
-            // own, without joining against the gauge snapshot.
-            const char* worst = "";
-            double worst_ratio = 0;
-            for (const auto& p : report.phases) {
-                if (p.alarmed && std::abs(std::log(p.ratio)) >
-                                     std::abs(std::log(
-                                         worst_ratio > 0 ? worst_ratio
-                                                         : 1.0))) {
-                    worst = phase_name(p.phase);
-                    worst_ratio = p.ratio;
-                }
-            }
-            events().emit("drift.alarm",
-                          {field("prefix", prefix),
-                           field("alarms", alarms),
-                           field("checks", checks),
-                           field("worst_phase", worst),
-                           field("worst_ratio", worst_ratio)});
-        }
+        events().emit("drift.alarm", fields);
     }
     return alarms;
-}
-
-void set_drift_dump_dir(const std::string& dir)
-{
-    std::lock_guard<std::mutex> lock(drift_mutex);
-    drift_dir = dir;
-}
-
-std::string drift_dump_dir()
-{
-    std::lock_guard<std::mutex> lock(drift_mutex);
-    return drift_dir;
 }
 
 DriftConfig drift_config()
@@ -470,22 +403,13 @@ double ProfileWindow::ewma_gbps(Phase phase) const
 double ProfileWindow::p95_seconds(Phase phase) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (count_ == 0) {
-        return 0.0;
-    }
     std::vector<double> values;
     values.reserve(static_cast<std::size_t>(count_));
     for (int i = 0; i < count_; ++i) {
         values.push_back(ring_[static_cast<std::size_t>(i)]
                              .seconds[static_cast<int>(phase)]);
     }
-    std::sort(values.begin(), values.end());
-    // Type-7 linear interpolation, matching the histogram quantiles.
-    const double pos = 0.95 * static_cast<double>(values.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return values[lo] + frac * (values[hi] - values[lo]);
+    return quantile(std::move(values), 0.95);
 }
 
 void ProfileWindow::export_gauges(MetricsRegistry& registry,

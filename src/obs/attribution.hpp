@@ -10,8 +10,8 @@
 // `obs::traced` span on all three execution paths. Dividing one by the
 // other gives achieved GB/s and GF/s per phase, a roofline classification
 // against the platform peaks, and -- when measurement and model disagree
-// beyond a threshold -- a drift alarm with a FlightRecorder-style JSON
-// annotation for the autotuning audit trail.
+// beyond a threshold -- a drift alarm, recorded as one `drift.alarm`
+// event-log line for the autotuning audit trail.
 //
 // Byte-accounting conventions (the hand-count contract the attribution
 // tests pin down; DESIGN.md "Performance attribution" restates it):
@@ -207,16 +207,12 @@ void add_scalar_check(DriftReport& report, const std::string& name,
 
 /// Records a drift report: counters `obs.drift.checks` / `obs.drift.alarms`,
 /// gauges `obs.drift.<prefix>.<phase>.ratio` (and `.alarmed`), and -- when
-/// a dump directory is armed -- a FlightRecorder-style JSON annotation
-/// `drift_<seq>_<prefix>.json` describing the disagreement. Returns the
-/// number of alarms.
+/// any check alarms and the event log is open -- one `drift.alarm` event
+/// carrying `prefix`, `alarms`, `checks` and, for every phase and scalar
+/// check, `<name>.measured`, `.modeled`, `.ratio` and `.alarmed` (phase
+/// checks report shares). Returns the number of alarms.
 int record_drift(MetricsRegistry& registry, const std::string& prefix,
                  const DriftReport& report);
-
-/// Arms (or, with "", disarms) the drift annotation dump directory. The
-/// directory is created on first dump.
-void set_drift_dump_dir(const std::string& dir);
-std::string drift_dump_dir();
 
 /// The process-wide drift thresholds (record sites read these; tests and
 /// tools tighten them to provoke alarms).

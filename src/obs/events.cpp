@@ -1,8 +1,6 @@
 #include "obs/events.hpp"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 
@@ -105,6 +103,12 @@ void EventLog::rotate_locked()
 void EventLog::emit(const std::string& kind,
                     std::initializer_list<EventField> fields)
 {
+    emit(kind, std::vector<EventField>(fields));
+}
+
+void EventLog::emit(const std::string& kind,
+                    const std::vector<EventField>& fields)
+{
     std::ostringstream line;
     line.precision(15);
     line << "{\"ts\": " << unix_seconds() << ", \"event\": ";
@@ -118,15 +122,7 @@ void EventLog::emit(const std::string& kind,
             json_quote(line, f.str);
             break;
         case EventField::Type::number:
-            // JSON has no nan/inf literals; encode as strings the way the
-            // flight-recorder sidecar does.
-            if (std::isnan(f.num)) {
-                line << "\"nan\"";
-            } else if (std::isinf(f.num)) {
-                line << (f.num > 0 ? "\"inf\"" : "\"-inf\"");
-            } else {
-                line << f.num;
-            }
+            json_number(line, f.num);
             break;
         case EventField::Type::integer:
             line << f.integer;

@@ -22,6 +22,7 @@
 #include <initializer_list>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace bsis::obs {
 
@@ -108,9 +109,15 @@ public:
     bool active() const;
 
     /// Appends one event line: {"ts": <unix seconds>, "event": <kind>,
-    /// <fields...>}. Thread-safe; no-op while inactive.
+    /// <fields...>}. Thread-safe; no-op while inactive. Non-finite
+    /// numbers are written as json_number writes them.
     void emit(const std::string& kind,
               std::initializer_list<EventField> fields);
+    /// The same for a field list built at run time. The braced-list
+    /// overload forwards here out of line, so its call sites (hot
+    /// translation units among them) stay a plain call.
+    void emit(const std::string& kind,
+              const std::vector<EventField>& fields);
 
     /// Events written (including into rotated-away files) since open().
     std::int64_t emitted() const;

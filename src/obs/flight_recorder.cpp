@@ -1,12 +1,9 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "obs/events.hpp"
@@ -19,255 +16,129 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// --- minimal JSON sidecar writer -----------------------------------------
+// --- meta.json sidecar -------------------------------------------------
 
-void json_number(std::ostream& os, real_type v)
+/// Calls `visit(key, field)` for every sidecar field in document order:
+/// the one list both the writer and the reader follow.
+template <typename Meta, typename Visit>
+void visit_meta(Meta& meta, Visit&& visit)
 {
-    // NaN/Inf are not valid JSON numbers; the sidecar encodes them as
-    // strings and the reader maps them back.
-    if (std::isnan(v)) {
-        os << "\"nan\"";
-    } else if (std::isinf(v)) {
-        os << (v > 0 ? "\"inf\"" : "\"-inf\"");
-    } else {
-        std::ostringstream tmp;
-        tmp.precision(17);
-        tmp << v;
-        os << tmp.str();
+    visit("failure", meta.failure);
+    visit("solver", meta.solver);
+    visit("precond", meta.precond);
+    visit("stop", meta.stop);
+    visit("tolerance", meta.tolerance);
+    visit("max_iterations", meta.max_iterations);
+    visit("gmres_restart", meta.gmres_restart);
+    visit("block_jacobi_size", meta.block_jacobi_size);
+    visit("richardson_omega", meta.richardson_omega);
+    visit("used_initial_guess", meta.used_initial_guess);
+    visit("fused_kernels", meta.fused_kernels);
+    visit("pipelined", meta.pipelined);
+    visit("lockstep_width", meta.lockstep_width);
+    visit("system_index", meta.system_index);
+    visit("iterations", meta.iterations);
+    visit("residual_norm", meta.residual_norm);
+    visit("history_iterations", meta.history_iterations);
+    visit("history_residuals", meta.history_residuals);
+}
+
+void write_value(std::ostream& os, const std::string& v) { json_quote(os, v); }
+void write_value(std::ostream& os, real_type v) { json_number(os, v); }
+void write_value(std::ostream& os, int v) { os << v; }
+void write_value(std::ostream& os, std::int64_t v) { os << v; }
+void write_value(std::ostream& os, bool v) { os << (v ? "true" : "false"); }
+
+template <typename T>
+void write_value(std::ostream& os, const std::vector<T>& values)
+{
+    os << '[';
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        os << (i == 0 ? "" : ", ");
+        write_value(os, values[i]);
     }
+    os << ']';
 }
 
 void write_meta(std::ostream& os, const FailureBundleMeta& meta)
 {
-    os << "{\n";
-    os << "  \"failure\": ";
-    json_quote(os, meta.failure);
-    os << ",\n  \"solver\": ";
-    json_quote(os, meta.solver);
-    os << ",\n  \"precond\": ";
-    json_quote(os, meta.precond);
-    os << ",\n  \"stop\": ";
-    json_quote(os, meta.stop);
-    os << ",\n  \"tolerance\": ";
-    json_number(os, meta.tolerance);
-    os << ",\n  \"max_iterations\": " << meta.max_iterations;
-    os << ",\n  \"gmres_restart\": " << meta.gmres_restart;
-    os << ",\n  \"block_jacobi_size\": " << meta.block_jacobi_size;
-    os << ",\n  \"richardson_omega\": ";
-    json_number(os, meta.richardson_omega);
-    os << ",\n  \"used_initial_guess\": "
-       << (meta.used_initial_guess ? "true" : "false");
-    os << ",\n  \"fused_kernels\": "
-       << (meta.fused_kernels ? "true" : "false");
-    os << ",\n  \"pipelined\": " << (meta.pipelined ? "true" : "false");
-    os << ",\n  \"lockstep_width\": " << meta.lockstep_width;
-    os << ",\n  \"system_index\": " << meta.system_index;
-    os << ",\n  \"iterations\": " << meta.iterations;
-    os << ",\n  \"residual_norm\": ";
-    json_number(os, meta.residual_norm);
-    os << ",\n  \"history_iterations\": [";
-    for (std::size_t i = 0; i < meta.history_iterations.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << meta.history_iterations[i];
-    }
-    os << "],\n  \"history_residuals\": [";
-    for (std::size_t i = 0; i < meta.history_residuals.size(); ++i) {
-        os << (i == 0 ? "" : ", ");
-        json_number(os, meta.history_residuals[i]);
-    }
-    os << "]\n}\n";
+    os.precision(17);  // doubles round-trip exactly
+    const char* separator = "{\n  ";
+    visit_meta(meta, [&](const char* key, const auto& value) {
+        os << separator << '"' << key << "\": ";
+        write_value(os, value);
+        separator = ",\n  ";
+    });
+    os << "\n}\n";
 }
 
-// --- minimal JSON sidecar parser -----------------------------------------
-//
-// Parses exactly the flat object write_meta produces (string / number /
-// bool / flat array values). Good enough for the replay tool without
-// dragging a JSON dependency into the library.
+bool read_value(const JsonValue& v, std::string& out)
+{
+    out = v.string;
+    return v.kind == JsonValue::Kind::string;
+}
 
-struct JsonScanner {
-    const std::string& text;
-    std::size_t pos = 0;
+bool read_value(const JsonValue& v, real_type& out)
+{
+    return json_real(v, out);
+}
 
-    void skip_ws()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos]))) {
-            ++pos;
-        }
-    }
+bool read_value(const JsonValue& v, int& out)
+{
+    return json_integer(v, out);
+}
 
-    bool consume(char c)
-    {
-        skip_ws();
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
+bool read_value(const JsonValue& v, std::int64_t& out)
+{
+    return json_integer(v, out);
+}
+
+bool read_value(const JsonValue& v, bool& out)
+{
+    out = v.boolean;
+    return v.kind == JsonValue::Kind::boolean;
+}
+
+template <typename T>
+bool read_value(const JsonValue& v, std::vector<T>& out)
+{
+    if (v.kind != JsonValue::Kind::array) {
         return false;
     }
-
-    [[noreturn]] void fail(const std::string& what) const
-    {
-        throw ParseError("flight_recorder",
-                         what + " at offset " + std::to_string(pos));
-    }
-
-    std::string parse_string()
-    {
-        skip_ws();
-        if (pos >= text.size() || text[pos] != '"') {
-            fail("expected string");
-        }
-        ++pos;
-        std::string out;
-        while (pos < text.size() && text[pos] != '"') {
-            if (text[pos] == '\\' && pos + 1 < text.size()) {
-                ++pos;
-                const char c = text[pos];
-                out += c == 'n' ? '\n' : c;
-            } else {
-                out += text[pos];
-            }
-            ++pos;
-        }
-        if (pos >= text.size()) {
-            fail("unterminated string");
-        }
-        ++pos;
-        return out;
-    }
-
-    real_type parse_number()
-    {
-        skip_ws();
-        if (pos < text.size() && text[pos] == '"') {
-            // "nan" / "inf" / "-inf" encoded non-finite values.
-            const std::string s = parse_string();
-            if (s == "nan") {
-                return std::numeric_limits<real_type>::quiet_NaN();
-            }
-            if (s == "inf") {
-                return std::numeric_limits<real_type>::infinity();
-            }
-            if (s == "-inf") {
-                return -std::numeric_limits<real_type>::infinity();
-            }
-            fail("unknown encoded number '" + s + "'");
-        }
-        const std::size_t start = pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '-' || text[pos] == '+' || text[pos] == '.' ||
-                text[pos] == 'e' || text[pos] == 'E')) {
-            ++pos;
-        }
-        if (pos == start) {
-            fail("expected number");
-        }
-        return static_cast<real_type>(
-            std::stod(text.substr(start, pos - start)));
-    }
-
-    bool parse_bool()
-    {
-        skip_ws();
-        if (text.compare(pos, 4, "true") == 0) {
-            pos += 4;
-            return true;
-        }
-        if (text.compare(pos, 5, "false") == 0) {
-            pos += 5;
+    out.assign(v.array.size(), T{});
+    for (std::size_t i = 0; i < v.array.size(); ++i) {
+        if (!read_value(v.array[i], out[i])) {
             return false;
         }
-        fail("expected bool");
     }
-
-    std::vector<real_type> parse_number_array()
-    {
-        std::vector<real_type> out;
-        if (!consume('[')) {
-            fail("expected array");
-        }
-        skip_ws();
-        if (consume(']')) {
-            return out;
-        }
-        for (;;) {
-            out.push_back(parse_number());
-            if (consume(']')) {
-                return out;
-            }
-            if (!consume(',')) {
-                fail("expected ',' in array");
-            }
-        }
-    }
-};
+    return true;
+}
 
 FailureBundleMeta parse_meta(const std::string& text)
 {
+    JsonValue root;
+    if (!parse_json(text, root) || root.kind != JsonValue::Kind::object) {
+        throw ParseError("flight_recorder", "meta.json is not a JSON object");
+    }
     FailureBundleMeta meta;
-    JsonScanner sc{text};
-    if (!sc.consume('{')) {
-        sc.fail("expected object");
-    }
-    sc.skip_ws();
-    if (sc.consume('}')) {
-        return meta;
-    }
-    for (;;) {
-        const std::string key = sc.parse_string();
-        if (!sc.consume(':')) {
-            sc.fail("expected ':'");
-        }
-        if (key == "failure") {
-            meta.failure = sc.parse_string();
-        } else if (key == "solver") {
-            meta.solver = sc.parse_string();
-        } else if (key == "precond") {
-            meta.precond = sc.parse_string();
-        } else if (key == "stop") {
-            meta.stop = sc.parse_string();
-        } else if (key == "tolerance") {
-            meta.tolerance = sc.parse_number();
-        } else if (key == "max_iterations") {
-            meta.max_iterations = static_cast<int>(sc.parse_number());
-        } else if (key == "gmres_restart") {
-            meta.gmres_restart = static_cast<int>(sc.parse_number());
-        } else if (key == "block_jacobi_size") {
-            meta.block_jacobi_size = static_cast<int>(sc.parse_number());
-        } else if (key == "richardson_omega") {
-            meta.richardson_omega = sc.parse_number();
-        } else if (key == "used_initial_guess") {
-            meta.used_initial_guess = sc.parse_bool();
-        } else if (key == "fused_kernels") {
-            meta.fused_kernels = sc.parse_bool();
-        } else if (key == "pipelined") {
-            meta.pipelined = sc.parse_bool();
-        } else if (key == "lockstep_width") {
-            meta.lockstep_width = static_cast<int>(sc.parse_number());
-        } else if (key == "system_index") {
-            meta.system_index = static_cast<std::int64_t>(sc.parse_number());
-        } else if (key == "iterations") {
-            meta.iterations = static_cast<int>(sc.parse_number());
-        } else if (key == "residual_norm") {
-            meta.residual_norm = sc.parse_number();
-        } else if (key == "history_iterations") {
-            for (const auto v : sc.parse_number_array()) {
-                meta.history_iterations.push_back(
-                    static_cast<std::int64_t>(v));
+    for (const auto& [key, value] : root.object) {
+        bool known = false;
+        visit_meta(meta, [&](const char* name, auto& slot) {
+            if (key != name) {
+                return;
             }
-        } else if (key == "history_residuals") {
-            meta.history_residuals = sc.parse_number_array();
-        } else {
-            sc.fail("unknown key '" + key + "'");
-        }
-        if (sc.consume('}')) {
-            return meta;
-        }
-        if (!sc.consume(',')) {
-            sc.fail("expected ',' in object");
+            known = true;
+            if (!read_value(value, slot)) {
+                throw ParseError("flight_recorder",
+                                 "meta.json: bad value for '" + key + "'");
+            }
+        });
+        if (!known) {
+            throw ParseError("flight_recorder",
+                             "meta.json: unknown key '" + key + "'");
         }
     }
+    return meta;
 }
 
 std::string slurp(const fs::path& path)
@@ -356,30 +227,12 @@ FailureBundle load_bundle(const std::string& bundle_dir)
 {
     const fs::path dir(bundle_dir);
     FailureBundle bundle;
-    {
-        std::ifstream is(dir / "A.mtx");
-        if (!is) {
-            throw ParseError("flight_recorder",
-                             "cannot open " + (dir / "A.mtx").string());
-        }
-        bundle.a = io::read_matrix(is);
-    }
-    {
-        std::ifstream is(dir / "b.mtx");
-        if (!is) {
-            throw ParseError("flight_recorder",
-                             "cannot open " + (dir / "b.mtx").string());
-        }
-        bundle.b = io::read_vector(is);
-    }
-    {
-        std::ifstream is(dir / "x0.mtx");
-        if (!is) {
-            throw ParseError("flight_recorder",
-                             "cannot open " + (dir / "x0.mtx").string());
-        }
-        bundle.x0 = io::read_vector(is);
-    }
+    std::istringstream a(slurp(dir / "A.mtx"));
+    bundle.a = io::read_matrix(a);
+    std::istringstream b(slurp(dir / "b.mtx"));
+    bundle.b = io::read_vector(b);
+    std::istringstream x0(slurp(dir / "x0.mtx"));
+    bundle.x0 = io::read_vector(x0);
     bundle.meta = parse_meta(slurp(dir / "meta.json"));
     return bundle;
 }

@@ -9,13 +9,6 @@
 
 namespace bsis::obs {
 
-namespace {
-
-/// Quantile of an unsorted sample set: type-7 linear interpolation on a
-/// sorted copy (the R/NumPy default). Degenerate inputs behave sensibly:
-/// no samples -> 0, one sample -> that sample for every q, all-equal
-/// samples -> that value exactly (nearest-rank rounding used to bias
-/// small-n quantiles toward the upper sample).
 double quantile(std::vector<double> samples, double q)
 {
     if (samples.empty()) {
@@ -31,18 +24,6 @@ double quantile(std::vector<double> samples, double q)
     const double frac = pos - static_cast<double>(lo);
     return samples[lo] + frac * (samples[hi] - samples[lo]);
 }
-
-void append_json_number(std::ostringstream& os, double v)
-{
-    // JSON has no inf/nan literals; clamp to null-safe zero.
-    if (v != v || v > 1e308 || v < -1e308) {
-        os << 0;
-    } else {
-        os << v;
-    }
-}
-
-}  // namespace
 
 std::int64_t MetricsSnapshot::counter(const std::string& name) const
 {
@@ -103,7 +84,7 @@ std::string MetricsSnapshot::json() const
         os << (emitted == 0 ? "\n" : ",\n") << "    ";
         json_quote(os, g.name);
         os << ": ";
-        append_json_number(os, g.value);
+        json_number(os, g.value);
         ++emitted;
     }
     os << (emitted == 0 ? "}" : "\n  }") << ",\n  \"histograms\": {";
@@ -112,15 +93,15 @@ std::string MetricsSnapshot::json() const
         os << (i == 0 ? "\n" : ",\n") << "    ";
         json_quote(os, h.name);
         os << ": {\"count\": " << h.summary.count << ", \"sum\": ";
-        append_json_number(os, h.summary.sum);
+        json_number(os, h.summary.sum);
         os << ", \"mean\": ";
-        append_json_number(os, h.summary.mean());
+        json_number(os, h.summary.mean());
         os << ", \"p50\": ";
-        append_json_number(os, h.summary.p50);
+        json_number(os, h.summary.p50);
         os << ", \"p95\": ";
-        append_json_number(os, h.summary.p95);
+        json_number(os, h.summary.p95);
         os << ", \"max\": ";
-        append_json_number(os, h.summary.max);
+        json_number(os, h.summary.max);
         os << "}";
     }
     os << (histograms.empty() ? "}" : "\n  }") << "\n}\n";

@@ -36,6 +36,13 @@ struct HistogramSummary {
     }
 };
 
+/// Quantile of an unsorted sample set: type-7 linear interpolation on a
+/// sorted copy (the R/NumPy default). Degenerate inputs behave sensibly:
+/// no samples -> 0, one sample -> that sample for every q, all-equal
+/// samples -> that value exactly. The histogram quantiles and
+/// ProfileWindow's p95 both use it.
+double quantile(std::vector<double> samples, double q);
+
 /// Point-in-time merge of every shard.
 struct MetricsSnapshot {
     struct Counter {

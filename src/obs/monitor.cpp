@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
-
-#ifndef _WIN32
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
 
 #include "obs/events.hpp"
 
@@ -27,19 +18,6 @@ namespace fs = std::filesystem;
 // ---------------------------------------------------------------------
 // Alert rules: grammar and defaults
 // ---------------------------------------------------------------------
-
-const char* alert_phase_name(AlertPhase phase)
-{
-    switch (phase) {
-    case AlertPhase::ok:
-        return "ok";
-    case AlertPhase::pending:
-        return "pending";
-    case AlertPhase::firing:
-        return "firing";
-    }
-    return "ok";
-}
 
 namespace {
 
@@ -459,16 +437,7 @@ void Monitor::sample_locked(double now)
                                       : 0.0;
 
     for (const auto& c : snap.counters) {
-        auto it = counters_.find(c.name);
-        if (it == counters_.end()) {
-            it = counters_
-                     .emplace(c.name,
-                              CounterSeries{
-                                  TimeSeriesRing(config_.ring_capacity), 0,
-                                  false, 0})
-                     .first;
-        }
-        auto& series = it->second;
+        auto& series = counters_[c.name];
         const double total = static_cast<double>(c.value);
         if (!series.primed) {
             // First sight establishes the baseline; a rate needs two
@@ -486,35 +455,7 @@ void Monitor::sample_locked(double now)
             continue;
         }
         series.last_rate = dt > 0 ? delta / dt : 0.0;
-        series.rate.push(now, series.last_rate);
-    }
-    for (const auto& g : snap.gauges) {
-        if (!g.set) {
-            continue;
-        }
-        auto it = gauges_.find(g.name);
-        if (it == gauges_.end()) {
-            it = gauges_
-                     .emplace(g.name, TimeSeriesRing(config_.ring_capacity))
-                     .first;
-        }
-        it->second.push(now, g.value);
-    }
-    for (const auto& h : snap.histograms) {
-        if (h.summary.count == 0) {
-            continue;
-        }
-        auto it = histograms_.find(h.name);
-        if (it == histograms_.end()) {
-            it = histograms_
-                     .emplace(h.name,
-                              HistSeries{
-                                  TimeSeriesRing(config_.ring_capacity),
-                                  TimeSeriesRing(config_.ring_capacity)})
-                     .first;
-        }
-        it->second.p50.push(now, h.summary.p50);
-        it->second.p95.push(now, h.summary.p95);
+        series.has_rate = true;
     }
 
     evaluate_alerts_locked(snap, now);
@@ -522,11 +463,11 @@ void Monitor::sample_locked(double now)
     last_tick_time_ = now;
     have_last_tick_ = true;
 
-    // Render the exposition eagerly only when something consumes it every
-    // tick (promfile or scrape endpoint). Otherwise just mark it stale:
-    // prometheus_text() re-renders on demand, so a bare `--monitor` run
-    // does not pay string building on every tick.
-    if (!config_.prom_path.empty() || config_.http) {
+    // Render the exposition eagerly only when the promfile consumes it
+    // every tick. Otherwise just mark it stale: prometheus_text()
+    // re-renders on demand, so a bare `--monitor` run does not pay string
+    // building on every tick.
+    if (!config_.prom_path.empty()) {
         prom_text_ = render_prometheus_locked(snap, now);
         prom_stale_ = false;
         write_prom_file_locked();
@@ -688,7 +629,7 @@ std::string Monitor::render_prometheus_locked(const MetricsSnapshot& snap,
         header(name, "counter", c.name);
         os << name << " " << c.value << "\n";
         const auto it = counters_.find(c.name);
-        if (it != counters_.end() && it->second.rate.size() > 0) {
+        if (it != counters_.end() && it->second.has_rate) {
             header(name + "_per_sec", "gauge",
                    "per-second rate of " + c.name + " over the last tick");
             os << name << "_per_sec ";
@@ -792,46 +733,13 @@ int Monitor::firing() const
     return count;
 }
 
-std::vector<SeriesPoint> Monitor::counter_rate(const std::string& name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? std::vector<SeriesPoint>{}
-                                 : it->second.rate.points();
-}
-
-std::vector<SeriesPoint> Monitor::gauge_values(const std::string& name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? std::vector<SeriesPoint>{}
-                               : it->second.points();
-}
-
-std::vector<SeriesPoint> Monitor::histogram_quantile(const std::string& name,
-                                                     double q) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        return {};
-    }
-    return q <= 0.5 ? it->second.p50.points() : it->second.p95.points();
-}
-
-int Monitor::http_port() const
-{
-    std::lock_guard<std::mutex> lock(stop_mutex_);
-    return bound_http_port_;
-}
-
 bool Monitor::running() const
 {
     std::lock_guard<std::mutex> lock(stop_mutex_);
     return running_;
 }
 
-// --- sampler / HTTP threads ------------------------------------------
+// --- sampler thread --------------------------------------------------
 
 void Monitor::start()
 {
@@ -842,9 +750,6 @@ void Monitor::start()
         }
         running_ = true;
         stop_requested_ = false;
-    }
-    if (config_.http && open_http_socket()) {
-        http_thread_ = std::thread([this] { run_http(); });
     }
     sampler_ = std::thread([this] { run_sampler(); });
 }
@@ -861,22 +766,6 @@ void Monitor::stop()
     stop_cv_.notify_all();
     if (sampler_.joinable()) {
         sampler_.join();
-    }
-#ifndef _WIN32
-    int fd = -1;
-    {
-        std::lock_guard<std::mutex> lock(stop_mutex_);
-        fd = http_fd_;
-        http_fd_ = -1;
-        bound_http_port_ = 0;
-    }
-    if (fd >= 0) {
-        ::shutdown(fd, SHUT_RDWR);
-        ::close(fd);
-    }
-#endif
-    if (http_thread_.joinable()) {
-        http_thread_.join();
     }
     // One final sample so a short run still publishes its tail (and the
     // promfile reflects the run's end state).
@@ -899,77 +788,6 @@ void Monitor::run_sampler()
         sample_now();
         lock.lock();
     }
-}
-
-bool Monitor::open_http_socket()
-{
-#ifdef _WIN32
-    return false;
-#else
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        return false;
-    }
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port =
-        htons(static_cast<std::uint16_t>(std::max(0, config_.http_port)));
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-        ::listen(fd, 8) < 0) {
-        ::close(fd);
-        return false;
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    std::lock_guard<std::mutex> lock(stop_mutex_);
-    http_fd_ = fd;
-    bound_http_port_ = static_cast<int>(ntohs(addr.sin_port));
-    return true;
-#endif
-}
-
-void Monitor::run_http()
-{
-#ifndef _WIN32
-    for (;;) {
-        int listen_fd = -1;
-        {
-            std::lock_guard<std::mutex> lock(stop_mutex_);
-            listen_fd = http_fd_;
-        }
-        if (listen_fd < 0) {
-            return;
-        }
-        const int client = ::accept(listen_fd, nullptr, nullptr);
-        if (client < 0) {
-            // stop() shut the listen socket down.
-            return;
-        }
-        char request[1024];
-        (void)::read(client, request, sizeof(request));  // drained, unused
-        const std::string body = prometheus_text();
-        std::ostringstream response;
-        response << "HTTP/1.1 200 OK\r\n"
-                 << "Content-Type: text/plain; version=0.0.4\r\n"
-                 << "Content-Length: " << body.size() << "\r\n"
-                 << "Connection: close\r\n\r\n"
-                 << body;
-        const std::string text = response.str();
-        std::size_t off = 0;
-        while (off < text.size()) {
-            const auto n =
-                ::write(client, text.data() + off, text.size() - off);
-            if (n <= 0) {
-                break;
-            }
-            off += static_cast<std::size_t>(n);
-        }
-        ::close(client);
-    }
-#endif
 }
 
 }  // namespace bsis::obs

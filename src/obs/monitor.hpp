@@ -1,18 +1,16 @@
-// Live monitoring: background sampler, bounded time series, Prometheus
-// exposition, and a declarative alert-rule engine over MetricsRegistry.
+// Live monitoring: background sampler, Prometheus exposition, and a
+// declarative alert-rule engine over MetricsRegistry.
 //
 // Everything the obs stack built so far is post-hoc -- snapshots, traces,
 // and reports rendered after the run ends. A Picard campaign over
 // thousands of batched systems runs for hours, and both the solve-service
 // and online-autotuning directions need a LIVE view: a scrapeable metric
-// endpoint, bounded per-metric history, and alerting on the failure
-// counters. obs::Monitor is that layer.
+// file and alerting on the failure counters. obs::Monitor is that layer.
 //
 // The monitor owns a sampler thread that, on a configurable tick,
 // snapshots the registry and
-//   * appends to bounded per-metric time-series rings: counter deltas
-//     become per-second rates, gauges keep their last value, histograms
-//     contribute p50/p95 tracks;
+//   * turns counter deltas into per-second rates (only the last rate is
+//     kept: the exposition and the alert rules read nothing older);
 //   * evaluates the alert rules (threshold / rate / absence, with
 //     for-duration hysteresis and an ok -> pending -> firing -> resolved
 //     state machine) -- transitions bump the `obs.alerts.*` counters of
@@ -20,8 +18,7 @@
 //   * renders the Prometheus text exposition (# HELP / # TYPE derived
 //     from the registry; counters additionally get a `_per_sec` rate
 //     gauge so file-based consumers need no PromQL) and atomically
-//     rewrites the promfile, and serves the same document over a minimal
-//     localhost HTTP scrape endpoint.
+//     rewrites the promfile, the one exposition channel.
 //
 // The sampler never touches solver hot paths: it reads the same sharded
 // snapshots every cold path reads, at a default 250 ms tick, and lives
@@ -41,63 +38,6 @@
 #include "obs/metrics.hpp"
 
 namespace bsis::obs {
-
-// ---------------------------------------------------------------------
-// Bounded time series
-// ---------------------------------------------------------------------
-
-struct SeriesPoint {
-    double t = 0;      ///< sample time, unix seconds (or test-supplied)
-    double value = 0;
-};
-
-/// Fixed-capacity ring of (t, value) samples; push overwrites the oldest.
-class TimeSeriesRing {
-public:
-    explicit TimeSeriesRing(int capacity = 240)
-        : ring_(static_cast<std::size_t>(capacity > 0 ? capacity : 1))
-    {}
-
-    int capacity() const { return static_cast<int>(ring_.size()); }
-    int size() const { return count_; }
-    std::int64_t pushed() const { return pushed_; }
-
-    void push(double t, double value)
-    {
-        ring_[static_cast<std::size_t>(head_)] = {t, value};
-        head_ = (head_ + 1) % capacity();
-        count_ = std::min(count_ + 1, capacity());
-        ++pushed_;
-    }
-
-    /// i = 0 is the oldest retained sample, i = size()-1 the newest.
-    SeriesPoint at(int i) const
-    {
-        const int first = (head_ - count_ + capacity()) % capacity();
-        return ring_[static_cast<std::size_t>((first + i) % capacity())];
-    }
-
-    SeriesPoint back() const
-    {
-        return count_ == 0 ? SeriesPoint{} : at(count_ - 1);
-    }
-
-    std::vector<SeriesPoint> points() const
-    {
-        std::vector<SeriesPoint> out;
-        out.reserve(static_cast<std::size_t>(count_));
-        for (int i = 0; i < count_; ++i) {
-            out.push_back(at(i));
-        }
-        return out;
-    }
-
-private:
-    std::vector<SeriesPoint> ring_;
-    int head_ = 0;
-    int count_ = 0;
-    std::int64_t pushed_ = 0;
-};
 
 // ---------------------------------------------------------------------
 // Alert rules
@@ -149,8 +89,6 @@ bool load_alert_rules(const std::string& path, std::vector<AlertRule>& out,
 std::vector<AlertRule> default_alert_rules();
 
 enum class AlertPhase { ok, pending, firing };
-
-const char* alert_phase_name(AlertPhase phase);
 
 /// Live state of one rule.
 struct AlertStatus {
@@ -210,16 +148,9 @@ std::string prometheus_name(const std::string& metric);
 struct MonitorConfig {
     /// Sampler period of the background thread (start()).
     double tick_seconds = 0.25;
-    /// Capacity of every per-metric time-series ring.
-    int ring_capacity = 240;
     /// When non-empty, the Prometheus exposition is atomically rewritten
     /// here every tick (write to `<path>.tmp`, then rename).
     std::string prom_path;
-    /// When true, the exposition is also served on a localhost HTTP
-    /// endpoint (GET anything -> 200 text/plain). `http_port` 0 binds an
-    /// ephemeral port; see Monitor::http_port().
-    bool http = false;
-    int http_port = 0;
     /// Alert rules; default_alert_rules() when empty and
     /// `use_default_rules` is set.
     std::vector<AlertRule> rules;
@@ -234,8 +165,7 @@ public:
     Monitor(const Monitor&) = delete;
     Monitor& operator=(const Monitor&) = delete;
 
-    /// Launches the sampler thread (and the HTTP endpoint when
-    /// configured). Idempotent.
+    /// Launches the sampler thread. Idempotent.
     void start();
 
     /// Stops the sampler thread after one final sample, so short runs
@@ -258,36 +188,20 @@ public:
     /// first).
     std::string prometheus_text() const;
 
-    /// The bound HTTP port (differs from config when ephemeral); 0 when
-    /// the endpoint is off.
-    int http_port() const;
-
     /// Snapshot of every rule's live state.
     std::vector<AlertStatus> alerts() const;
 
     /// Rules currently in the firing phase.
     int firing() const;
 
-    /// Per-metric series copies (empty when the metric is unknown).
-    /// Counters expose their rate track, gauges their value track,
-    /// histograms p50/p95 tracks.
-    std::vector<SeriesPoint> counter_rate(const std::string& name) const;
-    std::vector<SeriesPoint> gauge_values(const std::string& name) const;
-    std::vector<SeriesPoint> histogram_quantile(const std::string& name,
-                                                double q) const;
-
     const MonitorConfig& config() const { return config_; }
 
 private:
     struct CounterSeries {
-        TimeSeriesRing rate;
         double last_total = 0;
         bool primed = false;  ///< first sight only records the baseline
         double last_rate = 0;
-    };
-    struct HistSeries {
-        TimeSeriesRing p50;
-        TimeSeriesRing p95;
+        bool has_rate = false;  ///< a delta has been timed since priming
     };
 
     void sample_locked(double now);
@@ -299,21 +213,17 @@ private:
                                          double now) const;
     void write_prom_file_locked() const;
     void run_sampler();
-    void run_http();
-    bool open_http_socket();
 
     MetricsRegistry& registry_;
     MonitorConfig config_;
 
     mutable std::mutex mutex_;
     std::map<std::string, CounterSeries> counters_;
-    std::map<std::string, TimeSeriesRing> gauges_;
-    std::map<std::string, HistSeries> histograms_;
     std::vector<AlertStatus> alerts_;
-    /// Exposition text is rendered eagerly only when a per-tick consumer
-    /// exists (promfile or HTTP endpoint); otherwise the tick just marks
-    /// it stale and prometheus_text() re-renders on demand from the last
-    /// snapshot, keeping unconsumed `--monitor` ticks cheap.
+    /// Exposition text is rendered eagerly only when a promfile consumes
+    /// it every tick; otherwise the tick just marks it stale and
+    /// prometheus_text() re-renders on demand from the last snapshot,
+    /// keeping unconsumed `--monitor` ticks cheap.
     mutable std::string prom_text_;
     mutable bool prom_stale_ = false;
     MetricsSnapshot last_snap_;
@@ -322,13 +232,10 @@ private:
     bool have_last_tick_ = false;
 
     std::thread sampler_;
-    std::thread http_thread_;
     mutable std::mutex stop_mutex_;
     std::condition_variable stop_cv_;
     bool stop_requested_ = false;
     bool running_ = false;
-    int http_fd_ = -1;
-    int bound_http_port_ = 0;
 };
 
 }  // namespace bsis::obs

@@ -1,248 +1,82 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace bsis::obs {
 
-namespace {
-
-// --- minimal JSON reader (objects, arrays, strings, numbers, literals) ---
-// Covers the documents this repo itself emits (metrics snapshots, Chrome
-// traces); not a general-purpose validator.
-
-struct JsonValue {
-    enum class Kind { null, boolean, number, string, array, object };
-    Kind kind = Kind::null;
-    bool boolean = false;
-    double number = 0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue* find(const std::string& key) const
-    {
-        for (const auto& [k, v] : object) {
-            if (k == key) {
-                return &v;
-            }
-        }
-        return nullptr;
-    }
-};
-
-class JsonReader {
-public:
-    explicit JsonReader(const std::string& text) : text_(text) {}
-
-    bool parse(JsonValue& out)
-    {
-        pos_ = 0;
-        if (!parse_value(out)) {
-            return false;
-        }
-        skip_ws();
-        return pos_ == text_.size();
-    }
-
-private:
-    void skip_ws()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    bool consume(char c)
-    {
-        skip_ws();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool parse_string(std::string& out)
-    {
-        skip_ws();
-        if (pos_ >= text_.size() || text_[pos_] != '"') {
-            return false;
-        }
-        ++pos_;
-        out.clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size()) {
-                    return false;
-                }
-                const char esc = text_[pos_++];
-                switch (esc) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                default: out += esc; break;
-                }
-            } else {
-                out += c;
-            }
-        }
-        if (pos_ >= text_.size()) {
-            return false;
-        }
-        ++pos_;  // closing quote
-        return true;
-    }
-
-    bool parse_value(JsonValue& out)
-    {
-        skip_ws();
-        if (pos_ >= text_.size()) {
-            return false;
-        }
-        const char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            out.kind = JsonValue::Kind::object;
-            if (consume('}')) {
-                return true;
-            }
-            while (true) {
-                std::string key;
-                JsonValue value;
-                if (!parse_string(key) || !consume(':') ||
-                    !parse_value(value)) {
-                    return false;
-                }
-                out.object.emplace_back(std::move(key), std::move(value));
-                if (consume(',')) {
-                    continue;
-                }
-                return consume('}');
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out.kind = JsonValue::Kind::array;
-            if (consume(']')) {
-                return true;
-            }
-            while (true) {
-                JsonValue value;
-                if (!parse_value(value)) {
-                    return false;
-                }
-                out.array.push_back(std::move(value));
-                if (consume(',')) {
-                    continue;
-                }
-                return consume(']');
-            }
-        }
-        if (c == '"') {
-            out.kind = JsonValue::Kind::string;
-            return parse_string(out.string);
-        }
-        if (text_.compare(pos_, 4, "true") == 0) {
-            out.kind = JsonValue::Kind::boolean;
-            out.boolean = true;
-            pos_ += 4;
-            return true;
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            out.kind = JsonValue::Kind::boolean;
-            pos_ += 5;
-            return true;
-        }
-        if (text_.compare(pos_, 4, "null") == 0) {
-            pos_ += 4;
-            return true;
-        }
-        // number
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E')) {
-            ++pos_;
-        }
-        if (pos_ == start) {
-            return false;
-        }
-        try {
-            out.number = std::stod(text_.substr(start, pos_ - start));
-        } catch (...) {
-            return false;
-        }
-        out.kind = JsonValue::Kind::number;
-        return true;
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-bool parse_metrics_json(const std::string& text, MetricsDocument& out)
+bool parse_metrics_json(const std::string& text, MetricsSnapshot& out)
 {
     JsonValue root;
-    if (!JsonReader(text).parse(root) ||
-        root.kind != JsonValue::Kind::object) {
+    if (!parse_json(text, root) || root.kind != JsonValue::Kind::object) {
         return false;
     }
-    out = MetricsDocument{};
-    const auto read_flat = [](const JsonValue* section,
-                              std::map<std::string, double>& into) {
-        if (section == nullptr) {
-            return true;  // section absent is fine
-        }
-        if (section->kind != JsonValue::Kind::object) {
-            return false;
-        }
-        for (const auto& [name, value] : section->object) {
-            if (value.kind != JsonValue::Kind::number) {
-                return false;
-            }
-            into[name] = value.number;
-        }
-        return true;
+    // An absent section reads as empty; a present one must be an object.
+    JsonValue none;
+    none.kind = JsonValue::Kind::object;
+    const auto section = [&](const char* key) -> const JsonValue& {
+        const JsonValue* found = root.find(key);
+        return found != nullptr ? *found : none;
     };
-    if (!read_flat(root.find("counters"), out.counters) ||
-        !read_flat(root.find("gauges"), out.gauges)) {
+    const JsonValue& counters = section("counters");
+    const JsonValue& gauges = section("gauges");
+    const JsonValue& hists = section("histograms");
+    if (counters.kind != JsonValue::Kind::object ||
+        gauges.kind != JsonValue::Kind::object ||
+        hists.kind != JsonValue::Kind::object) {
         return false;
     }
-    if (const auto* hists = root.find("histograms")) {
-        if (hists->kind != JsonValue::Kind::object) {
+    MetricsSnapshot snap;
+    for (const auto& [name, value] : counters.object) {
+        MetricsSnapshot::Counter c{name, 0};
+        if (!json_integer(value, c.value)) {
             return false;
         }
-        for (const auto& [name, value] : hists->object) {
-            if (value.kind != JsonValue::Kind::object) {
+        snap.counters.push_back(std::move(c));
+    }
+    for (const auto& [name, value] : gauges.object) {
+        MetricsSnapshot::Gauge g{name, 0, true};
+        if (!json_real(value, g.value)) {
+            return false;
+        }
+        snap.gauges.push_back(std::move(g));
+    }
+    for (const auto& [name, value] : hists.object) {
+        if (value.kind != JsonValue::Kind::object) {
+            return false;
+        }
+        MetricsSnapshot::Histogram h{name, {}};
+        for (const auto& [field, leaf] : value.object) {
+            double v = 0;
+            const bool ok = field == "count"
+                                ? json_integer(leaf, h.summary.count)
+                                : json_real(leaf, v);
+            if (!ok) {
                 return false;
             }
-            auto& fields = out.histograms[name];
-            for (const auto& [field, leaf] : value.object) {
-                if (leaf.kind != JsonValue::Kind::number) {
-                    return false;
-                }
-                fields[field] = leaf.number;
+            // "mean" is derived (sum / count); unknown fields are ignored.
+            if (field == "sum") {
+                h.summary.sum = v;
+            } else if (field == "p50") {
+                h.summary.p50 = v;
+            } else if (field == "p95") {
+                h.summary.p95 = v;
+            } else if (field == "max") {
+                h.summary.max = v;
             }
         }
+        snap.histograms.push_back(std::move(h));
     }
+    out = std::move(snap);
     return true;
 }
 
-bool load_metrics_json(const std::string& path, MetricsDocument& out)
+bool load_metrics_json(const std::string& path, MetricsSnapshot& out)
 {
     std::ifstream in(path);
     if (!in) {
@@ -257,8 +91,7 @@ bool summarize_trace_json(const std::string& text,
                           std::map<std::string, TraceSpanStats>& out)
 {
     JsonValue root;
-    if (!JsonReader(text).parse(root) ||
-        root.kind != JsonValue::Kind::object) {
+    if (!parse_json(text, root) || root.kind != JsonValue::Kind::object) {
         return false;
     }
     const auto* events = root.find("traceEvents");
@@ -313,14 +146,14 @@ struct PhaseRow {
 };
 
 /// Collects `<prefix>.phase.<name>.*` gauge families of one prefix.
-std::vector<PhaseRow> collect_phases(const MetricsDocument& m,
+std::vector<PhaseRow> collect_phases(const MetricsSnapshot& m,
                                      const std::string& prefix)
 {
     const std::string stem = prefix + ".phase.";
     std::set<std::string> names;
-    for (const auto& [key, value] : m.gauges) {
-        (void)value;
-        if (key.rfind(stem, 0) != 0) {
+    for (const auto& g : m.gauges) {
+        const std::string& key = g.name;
+        if (!g.set || key.rfind(stem, 0) != 0) {
             continue;
         }
         const auto dot = key.find('.', stem.size());
@@ -341,7 +174,8 @@ std::vector<PhaseRow> collect_phases(const MetricsDocument& m,
         row.gflops = m.gauge(base + "gflops");
         row.intensity = m.gauge(base + "intensity");
         row.peak_fraction = m.gauge(base + "peak_fraction");
-        row.memory_bound = m.gauge(base + "memory_bound", 1.0) != 0.0;
+        row.memory_bound = !m.gauge_set(base + "memory_bound") ||
+                           m.gauge(base + "memory_bound") != 0.0;
         rows.push_back(row);
     }
     return rows;
@@ -350,7 +184,7 @@ std::vector<PhaseRow> collect_phases(const MetricsDocument& m,
 }  // namespace
 
 SolveReport render_solve_report(
-    const MetricsDocument& metrics,
+    const MetricsSnapshot& metrics,
     const std::map<std::string, TraceSpanStats>& trace_spans)
 {
     SolveReport report;
@@ -363,15 +197,13 @@ SolveReport render_solve_report(
     os << "  systems:      " << metrics.counter("solve.systems") << "\n";
     os << "  iterations:   " << metrics.counter("solve.iterations") << "\n";
     os << "  unconverged:  " << metrics.counter("solve.unconverged") << "\n";
-    const auto wall = metrics.histograms.find("solve.wall_seconds");
+    const auto wall = std::find_if(
+        metrics.histograms.begin(), metrics.histograms.end(),
+        [](const auto& h) { return h.name == "solve.wall_seconds"; });
     if (wall != metrics.histograms.end()) {
-        const auto get = [&](const char* f) {
-            const auto it = wall->second.find(f);
-            return it == wall->second.end() ? 0.0 : it->second;
-        };
-        os << "  wall seconds: total " << format_number(get("sum"))
-           << ", mean " << format_number(get("mean")) << ", p95 "
-           << format_number(get("p95")) << "\n";
+        os << "  wall seconds: total " << format_number(wall->summary.sum)
+           << ", mean " << format_number(wall->summary.mean()) << ", p95 "
+           << format_number(wall->summary.p95) << "\n";
     }
     os << "\n";
 
@@ -423,20 +255,19 @@ SolveReport render_solve_report(
     }
 
     // --- drift summary ---
-    const double checks = metrics.counter("obs.drift.checks");
-    const double alarms = metrics.counter("obs.drift.alarms");
+    const auto checks = metrics.counter("obs.drift.checks");
+    const auto alarms = metrics.counter("obs.drift.alarms");
     report.drift_alarms = static_cast<int>(alarms);
     os << "Drift (measured vs modeled)\n";
     os << "  checks: " << checks << ", alarms: " << alarms << "\n";
-    for (const auto& [key, value] : metrics.gauges) {
-        if (key.rfind("obs.drift.", 0) != 0 ||
+    for (const auto& [key, value, set] : metrics.gauges) {
+        if (!set || key.rfind("obs.drift.", 0) != 0 ||
             key.size() < 6 ||
             key.compare(key.size() - 6, 6, ".ratio") != 0) {
             continue;
         }
         const std::string stem = key.substr(0, key.size() - 6);
-        const bool alarmed =
-            metrics.gauge(stem + ".alarmed", 0.0) != 0.0;
+        const bool alarmed = metrics.gauge(stem + ".alarmed") != 0.0;
         os << "  " << pad(stem.substr(10), 28, false) << " ratio "
            << pad(format_number(value, 3), 8)
            << (alarmed ? "  ALARM" : "") << "\n";
@@ -452,7 +283,7 @@ SolveReport render_solve_report(
         for (const char* phase :
              {"spmv", "precond_apply", "reduction", "update", "other"}) {
             const std::string base = std::string("obs.window.") + phase;
-            if (!metrics.has_gauge(base + ".ewma_us")) {
+            if (!metrics.gauge_set(base + ".ewma_us")) {
                 continue;
             }
             os << "  " << pad(phase, 14, false)
@@ -496,7 +327,7 @@ SolveReport render_solve_report(
         }
         os << "\n";
     }
-    if (metrics.has_gauge("obs.trace.dropped")) {
+    if (metrics.gauge_set("obs.trace.dropped")) {
         os << "Dropped trace spans: "
            << metrics.gauge("obs.trace.dropped") << "\n\n";
     }

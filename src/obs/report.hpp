@@ -1,6 +1,7 @@
-// Solve-report rendering: turns a metrics-JSON snapshot (and optionally a
-// Chrome trace) into the human-readable performance-attribution report
-// `tools/solve_report` and `--report=FILE` emit.
+// Solve-report rendering: turns a metrics snapshot (live, or parsed back
+// from its JSON) and optionally a Chrome trace into the human-readable
+// performance-attribution report `tools/solve_report` and `--report=FILE`
+// emit.
 //
 // The parser accepts exactly the document shape MetricsRegistry emits
 // ({"counters": {...}, "gauges": {...}, "histograms": {name: {...}}});
@@ -13,38 +14,18 @@
 #include <map>
 #include <string>
 
+#include "obs/metrics.hpp"
+
 namespace bsis::obs {
 
-/// Flat view of one metrics snapshot document.
-struct MetricsDocument {
-    std::map<std::string, double> counters;
-    std::map<std::string, double> gauges;
-    /// histogram name -> {"count", "sum", "mean", "p50", "p95", "max"}.
-    std::map<std::string, std::map<std::string, double>> histograms;
-
-    bool has_gauge(const std::string& name) const
-    {
-        return gauges.count(name) != 0;
-    }
-    double gauge(const std::string& name, double fallback = 0.0) const
-    {
-        const auto it = gauges.find(name);
-        return it == gauges.end() ? fallback : it->second;
-    }
-    double counter(const std::string& name, double fallback = 0.0) const
-    {
-        const auto it = counters.find(name);
-        return it == counters.end() ? fallback : it->second;
-    }
-};
-
-/// Parses a MetricsRegistry JSON snapshot. Returns false on malformed
-/// input (unknown top-level keys are tolerated; non-numeric leaves are
-/// not).
-bool parse_metrics_json(const std::string& text, MetricsDocument& out);
+/// Parses a MetricsRegistry JSON snapshot back into a snapshot (every
+/// gauge it lists is set; non-finite values come back as json_real reads
+/// them). Returns false on malformed input (unknown top-level keys are
+/// tolerated; non-numeric leaves are not).
+bool parse_metrics_json(const std::string& text, MetricsSnapshot& out);
 
 /// Reads and parses `path`; returns false when unreadable or malformed.
-bool load_metrics_json(const std::string& path, MetricsDocument& out);
+bool load_metrics_json(const std::string& path, MetricsSnapshot& out);
 
 /// Per-span aggregate of a Chrome trace document (name -> count and
 /// summed duration), used for the report's trace section.
@@ -66,9 +47,10 @@ struct SolveReport {
     int phases = 0;          ///< attribution phase rows rendered
 };
 
-/// Renders the report. `trace_spans` may be empty (section omitted).
+/// Renders the report from a live or parsed snapshot (unset gauges are
+/// skipped). `trace_spans` may be empty (section omitted).
 SolveReport render_solve_report(
-    const MetricsDocument& metrics,
+    const MetricsSnapshot& metrics,
     const std::map<std::string, TraceSpanStats>& trace_spans = {});
 
 }  // namespace bsis::obs

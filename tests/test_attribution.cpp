@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "matrix/conversions.hpp"
 #include "matrix/stencil.hpp"
 #include "obs/attribution.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/report.hpp"
@@ -400,10 +402,10 @@ TEST(Drift, ScalarChecks)
 
 TEST(Drift, RecordDriftEmitsCountersGaugesAndAnnotation)
 {
-    const std::string dump_dir =
-        ::testing::TempDir() + "bsis_drift_dump_test";
-    std::filesystem::remove_all(dump_dir);
-    obs::set_drift_dump_dir(dump_dir);
+    const std::string log_path =
+        ::testing::TempDir() + "bsis_drift_events_test.jsonl";
+    std::filesystem::remove(log_path);
+    ASSERT_TRUE(obs::open_events(log_path));
 
     obs::MetricsRegistry registry;
     const double measured[obs::phase_count] = {10.0, 0.0, 0.0, 0.0, 0.0};
@@ -411,7 +413,7 @@ TEST(Drift, RecordDriftEmitsCountersGaugesAndAnnotation)
     auto report = obs::detect_drift(measured, modeled);
     obs::add_scalar_check(report, "traced_flops_per_iter", 10.0, 1.0, 2.5);
     const int alarms = obs::record_drift(registry, "unit", report);
-    obs::set_drift_dump_dir("");
+    obs::close_events();
 
     EXPECT_EQ(alarms, 3);
     const auto snap = registry.snapshot();
@@ -422,18 +424,23 @@ TEST(Drift, RecordDriftEmitsCountersGaugesAndAnnotation)
     EXPECT_DOUBLE_EQ(
         snap.gauge("obs.drift.unit.traced_flops_per_iter.alarmed"), 1.0);
 
-    // The armed dump directory received a drift_<seq>_unit.json annotation.
-    bool found = false;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(dump_dir)) {
-        const auto name = entry.path().filename().string();
-        if (name.rfind("drift_", 0) == 0 &&
-            name.find("_unit.json") != std::string::npos) {
-            found = true;
+    // The annotation is one drift.alarm event line carrying every check.
+    std::ifstream in(log_path);
+    std::string line;
+    std::string alarm;
+    int alarm_lines = 0;
+    while (std::getline(in, line)) {
+        if (line.find("\"event\": \"drift.alarm\"") != std::string::npos) {
+            alarm = line;
+            ++alarm_lines;
         }
     }
-    EXPECT_TRUE(found);
-    std::filesystem::remove_all(dump_dir);
+    EXPECT_EQ(alarm_lines, 1);
+    EXPECT_NE(alarm.find("\"spmv.ratio\": 10,"), std::string::npos) << alarm;
+    EXPECT_NE(alarm.find("\"traced_flops_per_iter.alarmed\": true"),
+              std::string::npos)
+        << alarm;
+    std::filesystem::remove(log_path);
 }
 
 // ---------------------------------------------------------------------
@@ -621,7 +628,6 @@ protected:
         obs::metrics().reset_values();
         obs::phase_times().reset();
         obs::profile_window().reset();
-        obs::set_drift_dump_dir("");
     }
 
     struct Problem {
@@ -772,7 +778,7 @@ TEST_F(AttributionEndToEnd, ReportRoundTripOverLiveSnapshot)
     obs::set_trace_enabled(false);
     ASSERT_TRUE(result.log.all_converged());
 
-    obs::MetricsDocument doc;
+    obs::MetricsSnapshot doc;
     ASSERT_TRUE(obs::parse_metrics_json(obs::metrics().snapshot_json(), doc));
     std::map<std::string, obs::TraceSpanStats> spans;
     ASSERT_TRUE(

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <string>
@@ -378,6 +379,44 @@ TEST(FlightRecorderTest, BundleRoundTripsNonFiniteValues)
     EXPECT_TRUE(std::isnan(bundle.meta.residual_norm));
     ASSERT_EQ(bundle.meta.history_residuals.size(), 4u);
     EXPECT_TRUE(std::isnan(bundle.meta.history_residuals[2]));
+    fs::remove_all(dir);
+}
+
+TEST(FlightRecorderTest, MalformedMetaJsonRaisesParseError)
+{
+    const auto dir = scratch_dir("forensics_bad_meta");
+    obs::FlightRecorder recorder(dir);
+    const index_type n = 3;
+    const auto coo = tridiag(n, 2, -1);
+    const std::vector<real_type> b(n, 1.0);
+    const std::vector<real_type> x0(n, 0.0);
+    ASSERT_TRUE(recorder.capture(coo, ConstVecView<real_type>{b.data(), n},
+                                 ConstVecView<real_type>{x0.data(), n},
+                                 obs::FailureBundleMeta{}));
+    const auto bundles = obs::list_bundles(dir);
+    ASSERT_EQ(bundles.size(), 1u);
+    EXPECT_NO_THROW(obs::load_bundle(bundles.front()));
+    const auto meta_path = fs::path(bundles.front()) / "meta.json";
+    // Every escape decodes, a surrogate pair to one UTF-8 character.
+    std::ofstream(meta_path) << R"({"failure": "\ud83d\ude00\b\f\r\u0002"})";
+    EXPECT_EQ(obs::load_bundle(bundles.front()).meta.failure,
+              "\xF0\x9F\x98\x80\b\f\r\x02");
+
+    const char* const malformed[] = {
+        R"({"failure": "max_iters", "bogus": 1})",  // unknown key
+        R"({"max_iterations": "77"})",      // a string for a number
+        R"({"pipelined": 1})",              // a number for a bool
+        R"({"history_residuals": [1.0, "x"]})",  // a bad array element
+        R"({"failure": "max_iters", "solver": )",  // truncated object
+        R"(["failure", "max_iters"])",      // not an object
+        R"({"max_iterations": 1e300})",     // outside the int range
+        R"({"failure": "a\qb"})",           // an unknown escape
+        R"({"failure": "\udc00"})",         // a lone low surrogate
+    };
+    for (const char* text : malformed) {
+        std::ofstream(meta_path) << text;
+        EXPECT_THROW(obs::load_bundle(bundles.front()), ParseError) << text;
+    }
     fs::remove_all(dir);
 }
 

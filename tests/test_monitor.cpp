@@ -1,4 +1,4 @@
-// Live-monitoring tier (`monitor` ctest label): the time-series sampler,
+// Live-monitoring tier (`monitor` ctest label): the sampler's rate math,
 // the alert-rule engine and its hysteresis, the Prometheus exposition
 // round-trip, the structured event log, the shared JSON escaping, and the
 // failure-storm end-to-end (seeded failures -> default alert firing ->
@@ -7,19 +7,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #ifndef _WIN32
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 #endif
 
@@ -73,32 +72,6 @@ std::vector<std::string> read_lines(const std::string& path)
         lines.push_back(line);
     }
     return lines;
-}
-
-// ---------------------------------------------------------------------
-// Time-series ring
-// ---------------------------------------------------------------------
-
-TEST(TimeSeriesRing, FillsThenWrapsOverwritingOldest)
-{
-    obs::TimeSeriesRing ring(4);
-    EXPECT_EQ(ring.capacity(), 4);
-    EXPECT_EQ(ring.size(), 0);
-    for (int i = 0; i < 6; ++i) {
-        ring.push(static_cast<double>(i), 10.0 * i);
-    }
-    EXPECT_EQ(ring.size(), 4);
-    EXPECT_EQ(ring.pushed(), 6);
-    // Oldest retained is push #2, newest is push #5.
-    EXPECT_DOUBLE_EQ(ring.at(0).t, 2.0);
-    EXPECT_DOUBLE_EQ(ring.at(0).value, 20.0);
-    EXPECT_DOUBLE_EQ(ring.at(3).t, 5.0);
-    EXPECT_DOUBLE_EQ(ring.back().value, 50.0);
-    const auto pts = ring.points();
-    ASSERT_EQ(pts.size(), 4u);
-    for (std::size_t i = 1; i < pts.size(); ++i) {
-        EXPECT_LT(pts[i - 1].t, pts[i].t);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -210,39 +183,40 @@ obs::MonitorConfig quiet_config()
     return config;
 }
 
+/// The exposition the monitor rendered at its last tick.
+obs::PromDocument exposition(const obs::Monitor& monitor)
+{
+    obs::PromDocument doc;
+    EXPECT_TRUE(obs::parse_prometheus_text(monitor.prometheus_text(), doc));
+    return doc;
+}
+
 TEST(MonitorSampling, CounterDeltasBecomePerSecondRates)
 {
     obs::MetricsRegistry registry;
     const auto id = registry.counter("work.items");
     obs::Monitor monitor(registry, quiet_config());
+    const std::string rate = "bsis_work_items_per_sec";
 
     registry.add(id, 100);
     monitor.sample_at(10.0);  // priming tick: baseline only, no rate
-    EXPECT_TRUE(monitor.counter_rate("work.items").empty());
+    EXPECT_FALSE(exposition(monitor).has(rate));
 
     registry.add(id, 50);
     monitor.sample_at(12.0);  // 50 in 2 s -> 25/s
-    auto rates = monitor.counter_rate("work.items");
-    ASSERT_EQ(rates.size(), 1u);
-    EXPECT_DOUBLE_EQ(rates[0].t, 12.0);
-    EXPECT_DOUBLE_EQ(rates[0].value, 25.0);
+    EXPECT_DOUBLE_EQ(exposition(monitor).value(rate, -1), 25.0);
 
     monitor.sample_at(13.0);  // no increments -> rate 0
-    rates = monitor.counter_rate("work.items");
-    ASSERT_EQ(rates.size(), 2u);
-    EXPECT_DOUBLE_EQ(rates[1].value, 0.0);
+    EXPECT_DOUBLE_EQ(exposition(monitor).value(rate, -1), 0.0);
 
     // reset_values() shows up as a negative delta: the series re-primes
     // instead of recording a negative rate.
     registry.reset_values();
     monitor.sample_at(14.0);
-    rates = monitor.counter_rate("work.items");
-    ASSERT_EQ(rates.size(), 2u);
+    EXPECT_DOUBLE_EQ(exposition(monitor).value(rate, -1), 0.0);
     registry.add(id, 7);
     monitor.sample_at(15.0);
-    rates = monitor.counter_rate("work.items");
-    ASSERT_EQ(rates.size(), 3u);
-    EXPECT_DOUBLE_EQ(rates[2].value, 7.0);
+    EXPECT_DOUBLE_EQ(exposition(monitor).value(rate, -1), 7.0);
 }
 
 TEST(MonitorSampling, GaugeAndHistogramTracks)
@@ -253,39 +227,23 @@ TEST(MonitorSampling, GaugeAndHistogramTracks)
     obs::Monitor monitor(registry, quiet_config());
 
     monitor.sample_at(1.0);  // neither metric recorded yet
-    EXPECT_TRUE(monitor.gauge_values("queue.depth").empty());
-    EXPECT_TRUE(monitor.histogram_quantile("iter.count", 0.95).empty());
+    auto doc = exposition(monitor);
+    EXPECT_FALSE(doc.has("bsis_queue_depth"));
+    EXPECT_EQ(doc.find("bsis_iter_count", "quantile", "0.95"), nullptr);
 
     registry.set(g, 42.0);
     for (int i = 1; i <= 100; ++i) {
         registry.observe(h, static_cast<double>(i));
     }
     monitor.sample_at(2.0);
-    const auto gauge = monitor.gauge_values("queue.depth");
-    ASSERT_EQ(gauge.size(), 1u);
-    EXPECT_DOUBLE_EQ(gauge[0].value, 42.0);
-    const auto p50 = monitor.histogram_quantile("iter.count", 0.5);
-    const auto p95 = monitor.histogram_quantile("iter.count", 0.95);
-    ASSERT_EQ(p50.size(), 1u);
-    ASSERT_EQ(p95.size(), 1u);
-    EXPECT_NEAR(p50[0].value, 50.0, 2.0);
-    EXPECT_NEAR(p95[0].value, 95.0, 2.0);
-}
-
-TEST(MonitorSampling, RingCapacityBoundsRetainedHistory)
-{
-    obs::MetricsRegistry registry;
-    const auto id = registry.counter("c");
-    auto config = quiet_config();
-    config.ring_capacity = 4;
-    obs::Monitor monitor(registry, config);
-    for (int i = 0; i < 10; ++i) {
-        registry.add(id, 1);
-        monitor.sample_at(static_cast<double>(i));
-    }
-    const auto rates = monitor.counter_rate("c");
-    ASSERT_EQ(rates.size(), 4u);  // 9 rate points pushed, 4 retained
-    EXPECT_DOUBLE_EQ(rates.back().t, 9.0);
+    doc = exposition(monitor);
+    EXPECT_DOUBLE_EQ(doc.value("bsis_queue_depth", -1), 42.0);
+    const auto* p50 = doc.find("bsis_iter_count", "quantile", "0.5");
+    const auto* p95 = doc.find("bsis_iter_count", "quantile", "0.95");
+    ASSERT_NE(p50, nullptr);
+    ASSERT_NE(p95, nullptr);
+    EXPECT_NEAR(p50->value, 50.0, 2.0);
+    EXPECT_NEAR(p95->value, 95.0, 2.0);
 }
 
 // ---------------------------------------------------------------------
@@ -486,58 +444,30 @@ TEST(Prometheus, PromfileIsWrittenAtomicallyEachTick)
     fs::remove(config.prom_path);
 }
 
-#ifndef _WIN32
-TEST(Prometheus, HttpEndpointServesExposition)
+TEST(Prometheus, SamplerThreadRewritesPromfile)
 {
     obs::MetricsRegistry registry;
     registry.counter("solve.batches");
     auto config = quiet_config();
-    config.http = true;
-    config.http_port = 0;  // ephemeral
+    config.prom_path = temp_path("sampler_promfile");
     config.tick_seconds = 0.01;
     obs::Monitor monitor(registry, config);
     monitor.start();
     ASSERT_TRUE(monitor.running());
-    const int port = monitor.http_port();
-    ASSERT_GT(port, 0);
-    // Wait for the first tick so the cached exposition is non-empty.
+    // A tick counted by ticks() has already published its promfile.
     for (int i = 0; i < 200 && monitor.ticks() == 0; ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     ASSERT_GT(monitor.ticks(), 0);
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    ASSERT_EQ(
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-        0);
-    const char request[] = "GET /metrics HTTP/1.1\r\n\r\n";
-    ASSERT_GT(::write(fd, request, sizeof(request) - 1), 0);
-    std::string response;
-    char buf[4096];
-    for (;;) {
-        const auto n = ::read(fd, buf, sizeof(buf));
-        if (n <= 0) {
-            break;
-        }
-        response.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    monitor.stop();
-    EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
-    const auto split = response.find("\r\n\r\n");
-    ASSERT_NE(split, std::string::npos);
     obs::PromDocument doc;
-    ASSERT_TRUE(
-        obs::parse_prometheus_text(response.substr(split + 4), doc));
+    ASSERT_TRUE(obs::load_prometheus_file(config.prom_path, doc));
     EXPECT_TRUE(doc.has("bsis_monitor_ticks"));
-    EXPECT_EQ(monitor.http_port(), 0);  // endpoint closed after stop()
+    const auto ticks = monitor.ticks();
+    monitor.stop();  // takes one final sample
+    EXPECT_FALSE(monitor.running());
+    EXPECT_GT(monitor.ticks(), ticks);
+    fs::remove(config.prom_path);
 }
-#endif
 
 // ---------------------------------------------------------------------
 // Event log
@@ -602,7 +532,9 @@ TEST(JsonEscaping, EscapesQuotesBackslashesAndControlChars)
     std::ostringstream os;
     obs::json_escape(os, "a\"b\\c\nd\te\x01" "f");
     EXPECT_EQ(os.str(), "a\\\"b\\\\c\\nd\\te\\u0001f");
-    EXPECT_EQ(obs::json_quoted("x\"y"), "\"x\\\"y\"");
+    std::ostringstream quoted;
+    obs::json_quote(quoted, "x\"y");
+    EXPECT_EQ(quoted.str(), "\"x\\\"y\"");
 }
 
 TEST(JsonEscaping, MetricNamesSurviveSnapshotJson)
@@ -619,9 +551,38 @@ TEST(JsonEscaping, MetricNamesSurviveSnapshotJson)
     EXPECT_NE(json.find("solve.\\\"quoted\\\\name"), std::string::npos);
     EXPECT_NE(json.find("ctrl.\\u0002.name"), std::string::npos);
     // And the document still parses, recovering the original names.
-    obs::MetricsDocument doc;
+    obs::MetricsSnapshot doc;
     ASSERT_TRUE(obs::parse_metrics_json(json, doc));
     EXPECT_DOUBLE_EQ(doc.counter(nasty), 7.0);
+    EXPECT_EQ(doc.counter("ctrl.\x02.name"), 3);
+}
+
+TEST(JsonEscaping, NonFiniteMetricValuesSurviveSnapshotJson)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    obs::MetricsRegistry registry;
+    // detect_drift reports an unmodeled phase as ratio +inf.
+    registry.set_named("obs.drift.solve.spmv.ratio", inf);
+    registry.set_named("obs.drift.solve.spmv.alarmed", 1.0);
+    registry.set_named("solve.undefined", std::nan(""));
+    registry.observe_named("solve.diverged", -inf);
+
+    obs::MetricsSnapshot doc;
+    ASSERT_TRUE(obs::parse_metrics_json(registry.snapshot_json(), doc));
+    EXPECT_EQ(doc.gauge("obs.drift.solve.spmv.ratio"), inf);
+    EXPECT_TRUE(std::isnan(doc.gauge("solve.undefined")));
+    const auto hist = doc.histogram("solve.diverged");
+    EXPECT_EQ(hist.count, 1);
+    EXPECT_EQ(hist.sum, -inf);
+    EXPECT_EQ(hist.p95, -inf);
+    EXPECT_EQ(hist.max, -inf);
+
+    // The report must not print the alarmed ratio as 0.
+    const std::string text = obs::render_solve_report(doc).text;
+    const auto row = text.find("solve.spmv");
+    ASSERT_NE(row, std::string::npos);
+    const std::string line = text.substr(row, text.find('\n', row) - row);
+    EXPECT_NE(line.find("ratio      inf  ALARM"), std::string::npos) << line;
 }
 
 // ---------------------------------------------------------------------

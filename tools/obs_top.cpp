@@ -2,13 +2,12 @@
 // Prometheus exposition (see DESIGN.md, "Live monitoring").
 //
 // Point it at the promfile a monitored run rewrites every tick
-// (`--prom=FILE` on any example), or at the localhost scrape endpoint
-// (`--prom-port=N`):
+// (`--prom=FILE` on any example):
 //
 //   obs_top /tmp/solved.prom                # refresh every second
-//   obs_top --port=9464                     # scrape 127.0.0.1:9464
 //   obs_top --once /tmp/solved.prom         # one screen; exit 1 if any
-//                                           # alert is firing (CI-gateable)
+//                                           # alert is firing, 2 if the
+//                                           # file is unreadable
 //
 // The screen shows solver throughput, iteration quantiles, failure and
 // drift rates, the per-phase bandwidth/roofline table, and every alert
@@ -24,90 +23,22 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 #include "obs/monitor.hpp"
 
 namespace {
 
 using bsis::obs::PromDocument;
-using bsis::obs::PromSample;
 
 int usage(const char* argv0)
 {
     std::cerr
         << "usage: " << argv0
-        << " [--once] [--interval=SECONDS] [--port=N | PROMFILE]\n"
+        << " [--once] [--interval=SECONDS] PROMFILE\n"
            "  PROMFILE        promfile rewritten by a --prom=FILE run\n"
-           "  --port=N        scrape http://127.0.0.1:N instead\n"
            "  --once          render one screen; exit 1 if any alert is\n"
            "                  firing, 2 if the exposition is unreadable\n"
            "  --interval=S    refresh period in loop mode (default 1)\n";
     return 2;
-}
-
-/// Minimal GET / against the monitor's localhost endpoint; returns false
-/// on any socket failure.
-bool scrape_http(int port, std::string& body)
-{
-#ifdef _WIN32
-    (void)port;
-    (void)body;
-    return false;
-#else
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        return false;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-        0) {
-        ::close(fd);
-        return false;
-    }
-    const char request[] =
-        "GET /metrics HTTP/1.1\r\nHost: localhost\r\n"
-        "Connection: close\r\n\r\n";
-    if (::write(fd, request, sizeof(request) - 1) < 0) {
-        ::close(fd);
-        return false;
-    }
-    std::string response;
-    char buf[4096];
-    for (;;) {
-        const auto n = ::read(fd, buf, sizeof(buf));
-        if (n <= 0) {
-            break;
-        }
-        response.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    const auto split = response.find("\r\n\r\n");
-    if (split == std::string::npos) {
-        return false;
-    }
-    body = response.substr(split + 4);
-    return true;
-#endif
-}
-
-bool read_exposition(const std::string& promfile, int port,
-                     PromDocument& doc)
-{
-    if (port > 0) {
-        std::string body;
-        return scrape_http(port, body) &&
-               bsis::obs::parse_prometheus_text(body, doc);
-    }
-    return bsis::obs::load_prometheus_file(promfile, doc);
 }
 
 void print_rate_line(const PromDocument& doc, const char* label,
@@ -261,7 +192,6 @@ int render(const PromDocument& doc)
 int main(int argc, char** argv)
 {
     std::string promfile;
-    int port = 0;
     bool once = false;
     double interval = 1.0;
     for (int i = 1; i < argc; ++i) {
@@ -269,21 +199,19 @@ int main(int argc, char** argv)
             once = true;
         } else if (std::strncmp(argv[i], "--interval=", 11) == 0) {
             interval = std::atof(argv[i] + 11);
-        } else if (std::strncmp(argv[i], "--port=", 7) == 0) {
-            port = std::atoi(argv[i] + 7);
         } else if (argv[i][0] == '-') {
             return usage(argv[0]);
         } else {
             promfile = argv[i];
         }
     }
-    if (promfile.empty() && port <= 0) {
+    if (promfile.empty()) {
         return usage(argv[0]);
     }
 
     for (;;) {
         PromDocument doc;
-        const bool ok = read_exposition(promfile, port, doc);
+        const bool ok = bsis::obs::load_prometheus_file(promfile, doc);
         if (!once) {
             std::printf("\x1b[2J\x1b[H");  // clear screen, home cursor
         }
@@ -292,9 +220,7 @@ int main(int argc, char** argv)
             firing = render(doc);
         } else {
             std::printf("obs_top: no exposition at %s yet\n",
-                        port > 0 ? ("127.0.0.1:" + std::to_string(port))
-                                       .c_str()
-                                 : promfile.c_str());
+                        promfile.c_str());
         }
         if (once) {
             return ok ? (firing > 0 ? 1 : 0) : 2;

@@ -79,7 +79,7 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    bsis::obs::MetricsDocument metrics;
+    bsis::obs::MetricsSnapshot metrics;
     if (!bsis::obs::load_metrics_json(metrics_path, metrics)) {
         std::fprintf(stderr, "solve_report: cannot read or parse %s\n",
                      metrics_path.c_str());
