@@ -89,6 +89,13 @@ ctest --test-dir "$BUILD_DIR" -L pipelined --output-on-failure
 echo "== lockstep test tier =="
 ctest --test-dir "$BUILD_DIR" -L lockstep --output-on-failure
 
+# xgc: the collision proxy app -- grid, Maxwellians and moments, the
+# collision operator, batch assembly (foreign shapes rejected before any
+# write, concurrent calls, values independent of the thread count) and
+# the Picard step.
+echo "== xgc test tier =="
+ctest --test-dir "$BUILD_DIR" -L xgc --output-on-failure
+
 # The perf smoke run also covers the SIMD batch-lockstep rows
 # (lockstep4/lockstep8) and cross-checks them against the scalar path
 # per entry; the full-size lockstep-vs-scalar speedup gate only runs in

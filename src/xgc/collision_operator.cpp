@@ -41,7 +41,9 @@ void CollisionOperator::set_background(const PlasmaState& state,
 
     const real_type t = std::max(state.temperature, real_type{1e-12});
     const real_type vth = std::sqrt(t);
-    PlasmaState maxw_state = state;
+    const real_type maxw_norm =
+        state.density /
+        std::pow(2 * std::numbers::pi_v<real_type> * t, real_type{1.5});
     for (index_type j = 0; j < grid_.n_vperp(); ++j) {
         const real_type vol = grid_.cell_volume(j);
         const real_type w2 = grid_.vperp(j);
@@ -51,10 +53,7 @@ void CollisionOperator::set_background(const PlasmaState& state,
             int shell = static_cast<int>(wbar / screen_max_ * num_shells);
             shell = std::min(shell, num_shells - 1);
             const real_type maxw =
-                maxw_state.density /
-                std::pow(2 * std::numbers::pi_v<real_type> * t,
-                         real_type{1.5}) *
-                std::exp(-(w1 * w1 + w2 * w2) / (2 * t));
+                maxw_norm * std::exp(-(w1 * w1 + w2 * w2) / (2 * t));
             actual[static_cast<std::size_t>(shell)] +=
                 f[grid_.row(i, j)] * vol;
             reference[static_cast<std::size_t>(shell)] += maxw * vol;

@@ -107,9 +107,9 @@ private:
     /// empty = no screening.
     std::vector<real_type> screen_;
     real_type screen_max_ = 8.0;
-    /// Scratch: one coefficient per stored nonzero (assembly is
-    /// single-threaded per operator instance; the batch parallelizes over
-    /// operator instances).
+    /// Scratch: one coefficient per stored nonzero. assemble() and apply()
+    /// write it, so they must not run concurrently on one instance;
+    /// CollisionWorkload::assemble_batch gives every thread its own copy.
     mutable std::vector<real_type> scratch_;
 };
 

@@ -50,7 +50,8 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
     BatchVector<real_type> f_n = workload.distributions();
     // Picard iterate; starts from f^n.
     BatchVector<real_type> x = f_n;
-    BatchVector<real_type> x_prev(nsys, n);
+    // Nonlinear residual f^n - A(x) x of every system.
+    BatchVector<real_type> residual(nsys, n);
 
     auto a = workload.make_matrix_batch();
 
@@ -69,7 +70,6 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
         targets.push_back(conserved(workload.grid(), f_n.entry(sys)));
     }
 
-    std::vector<real_type> residual(static_cast<std::size_t>(n));
     for (int k = 0; k < settings.num_iterations; ++k) {
         obs::ScopedSpan iter_span("picard_iteration", "xgc", k);
         obs::traced("assemble_batch", [&] {
@@ -82,14 +82,24 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
         // warm-started solves no-op.)
         real_type res = 0;
         obs::traced("nonlinear_residual", [&] {
+            // Shapes are fixed above and checked by assemble_batch, so
+            // nothing in this region throws.
+#pragma omp parallel for schedule(static)
             for (size_type sys = 0; sys < nsys; ++sys) {
+                auto rv = residual.entry(sys);
                 spmv(a.entry(sys), ConstVecView<real_type>(x.entry(sys)),
-                     VecView<real_type>{residual.data(), n});
+                     rv);
                 const auto bv = f_n.entry(sys);
                 for (index_type i = 0; i < n; ++i) {
-                    const real_type d =
-                        bv[i] - residual[static_cast<std::size_t>(i)];
-                    res += d * d;
+                    rv[i] = bv[i] - rv[i];
+                }
+            }
+            // Summed serially in system order, so nonlinear_change does
+            // not depend on the thread count.
+            for (size_type sys = 0; sys < nsys; ++sys) {
+                const auto rv = residual.entry(sys);
+                for (index_type i = 0; i < n; ++i) {
+                    res += rv[i] * rv[i];
                 }
             }
         });
@@ -101,7 +111,6 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
             break;
         }
 
-        x_prev = x;
         if (!settings.warm_start) {
             x.fill(real_type{0});
         }
@@ -112,7 +121,6 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
     if (settings.nonlinear_tol == 0) {
         report.converged = true;
     }
-    (void)x_prev;
 
     // Conservation of the raw Picard solution, then the post-step moment
     // fix (production XGC behavior), then the accepted-step conservation.

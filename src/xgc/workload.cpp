@@ -1,7 +1,9 @@
 #include "xgc/workload.hpp"
 
 #include <cmath>
+#include <exception>
 
+#include "core/lockstep.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -82,53 +84,89 @@ void CollisionWorkload::assemble_batch(const BatchVector<real_type>& iterate,
                                        real_type dt,
                                        BatchCsr<real_type>& a) const
 {
+    // Every check runs before anything is written: a batch of another
+    // pattern would be overrun, and no exception of ours may unwind
+    // through the OpenMP region below.
+    const auto& pattern = operators_.front().pattern();
     BSIS_ENSURE_DIMS(a.num_batch() == num_systems(),
                      "matrix batch size mismatch");
+    BSIS_ENSURE_DIMS(a.row_ptrs() == pattern.row_ptrs &&
+                         a.col_idxs() == pattern.col_idxs,
+                     "matrix batch pattern differs from the operator's");
     BSIS_ENSURE_DIMS(iterate.num_batch() == num_systems() &&
                          anchor.num_batch() == num_systems(),
                      "iterate batch size mismatch");
+    BSIS_ENSURE_DIMS(iterate.len() == grid_.rows() &&
+                         anchor.len() == grid_.rows(),
+                     "iterate length mismatch");
+    BSIS_ENSURE_ARG(dt > 0, "time step must be positive");
+
+    // set_background, blend_background and assemble write the operator's
+    // screening table and scratch, so every thread assembles through its
+    // own copy of the operators. Each node installs its own screening
+    // before assembling, so the values do not depend on which thread or
+    // copy takes the node.
+    std::vector<std::vector<CollisionOperator>> thread_operators(
+        static_cast<std::size_t>(lockstep::max_threads()), operators_);
     const size_type ns = num_species();
-    std::vector<PlasmaState> states(static_cast<std::size_t>(ns));
-    std::vector<std::vector<real_type>> tables(
-        static_cast<std::size_t>(ns));
+    // Exceptions cannot unwind through an OpenMP region: capture the
+    // first one and rethrow it after the loop.
+    std::exception_ptr failure;
+#pragma omp parallel for schedule(dynamic)
     for (size_type node = 0; node < num_mesh_nodes(); ++node) {
-        // Maxwellian anchor from the conserved pre-step moments, shell
-        // screening from each iterate's shape.
-        for (size_type s = 0; s < ns; ++s) {
-            const size_type sys = node * ns + s;
-            states[static_cast<std::size_t>(s)] =
-                system_moments(anchor, sys);
-            operators_[static_cast<std::size_t>(s)].set_background(
-                states[static_cast<std::size_t>(s)], iterate.entry(sys));
-            tables[static_cast<std::size_t>(s)] =
-                operators_[static_cast<std::size_t>(s)].background_table();
-        }
-        // ...then the field-particle coupling to the other species of the
-        // same mesh node, and the assembly.
-        for (size_type s = 0; s < ns; ++s) {
-            auto& op = operators_[static_cast<std::size_t>(s)];
-            const real_type w = species_[static_cast<std::size_t>(s)]
-                                    .cross_species_weight;
-            if (ns >= 2 && w > 0) {
-                // Field-particle coupling to the mean of the other
-                // species' screenings.
-                std::vector<real_type> other(
-                    tables[static_cast<std::size_t>(s)].size(), 0.0);
-                for (size_type s2 = 0; s2 < ns; ++s2) {
-                    if (s2 == s) {
-                        continue;
-                    }
-                    for (std::size_t k = 0; k < other.size(); ++k) {
-                        other[k] +=
-                            tables[static_cast<std::size_t>(s2)][k] /
-                            static_cast<real_type>(ns - 1);
-                    }
-                }
-                op.blend_background(other, w);
+        try {
+            auto& operators = thread_operators[static_cast<std::size_t>(
+                lockstep::this_thread())];
+            std::vector<PlasmaState> states(static_cast<std::size_t>(ns));
+            std::vector<std::vector<real_type>> tables(
+                static_cast<std::size_t>(ns));
+            // Maxwellian anchor from the conserved pre-step moments, shell
+            // screening from each iterate's shape.
+            for (size_type s = 0; s < ns; ++s) {
+                const size_type sys = node * ns + s;
+                states[static_cast<std::size_t>(s)] =
+                    system_moments(anchor, sys);
+                operators[static_cast<std::size_t>(s)].set_background(
+                    states[static_cast<std::size_t>(s)], iterate.entry(sys));
+                tables[static_cast<std::size_t>(s)] =
+                    operators[static_cast<std::size_t>(s)]
+                        .background_table();
             }
-            op.assemble(states[static_cast<std::size_t>(s)], dt,
-                        a.values(node * ns + s));
+            // ...then the field-particle coupling to the other species of
+            // the same mesh node, and the assembly.
+            for (size_type s = 0; s < ns; ++s) {
+                auto& op = operators[static_cast<std::size_t>(s)];
+                const real_type w = species_[static_cast<std::size_t>(s)]
+                                        .cross_species_weight;
+                if (ns >= 2 && w > 0) {
+                    // Field-particle coupling to the mean of the other
+                    // species' screenings.
+                    std::vector<real_type> other(
+                        tables[static_cast<std::size_t>(s)].size(), 0.0);
+                    for (size_type s2 = 0; s2 < ns; ++s2) {
+                        if (s2 == s) {
+                            continue;
+                        }
+                        for (std::size_t k = 0; k < other.size(); ++k) {
+                            other[k] +=
+                                tables[static_cast<std::size_t>(s2)][k] /
+                                static_cast<real_type>(ns - 1);
+                        }
+                    }
+                    op.blend_background(other, w);
+                }
+                op.assemble(states[static_cast<std::size_t>(s)], dt,
+                            a.values(node * ns + s));
+            }
+        } catch (...) {
+#pragma omp critical(bsis_xgc_assembly_failure)
+            if (!failure) {
+                failure = std::current_exception();
+            }
         }
+    }
+    if (failure) {
+        std::rethrow_exception(failure);
     }
 }
 

@@ -78,6 +78,13 @@ public:
     /// the Rosenbluth-like shell screening tracks the SHAPE of the current
     /// Picard `iterate`. Pass the same vector for both to linearize fully
     /// at the iterate.
+    ///
+    /// Mesh nodes are assembled on the OpenMP team; the values do not
+    /// depend on the thread count, and concurrent calls on one workload
+    /// into different batches are safe. Throws DimensionMismatch unless
+    /// `a` has num_systems() entries of the operator pattern and
+    /// `iterate`/`anchor` have num_systems() entries of grid().rows()
+    /// rows, and BadArgument unless dt > 0; nothing is written then.
     void assemble_batch(const BatchVector<real_type>& iterate,
                         const BatchVector<real_type>& anchor, real_type dt,
                         BatchCsr<real_type>& a) const;
@@ -93,9 +100,9 @@ private:
     WorkloadParams params_;
     VelocityGrid grid_;
     std::vector<SpeciesParams> species_;
-    /// One operator per species; mutable because assembly installs the
-    /// per-system background screening into the operator (scratch state).
-    mutable std::vector<CollisionOperator> operators_;
+    /// One operator per species, only read after construction: assembly
+    /// installs each system's background screening into per-thread copies.
+    std::vector<CollisionOperator> operators_;
     BatchVector<real_type> f_;
 };
 

@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <exception>
+#include <functional>
+#include <optional>
+#include <string>
+#include <thread>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "lapack/eigen.hpp"
 #include "matrix/stats.hpp"
@@ -334,6 +344,182 @@ TEST(Workload, AssemblyFillsEverySystem)
         diff += std::abs(a.values(0)[k] - a.values(1)[k]);
     }
     EXPECT_GT(diff, 1.0);
+}
+
+TEST(Workload, AssemblyRejectsForeignShapes)
+{
+    WorkloadParams params;
+    params.num_mesh_nodes = 2;
+    const CollisionWorkload w(params);
+    WorkloadParams small = params;
+    small.n_vpar = 8;
+    small.n_vperp = 7;
+    const CollisionWorkload foreign(small);
+    ASSERT_EQ(foreign.num_systems(), w.num_systems());
+    const auto& f = w.distributions();
+    const real_type dt = 0.0035;
+
+    // Same system count, another pattern: the values would be overrun.
+    auto foreign_a = foreign.make_matrix_batch();
+    EXPECT_THROW(w.assemble_batch(f, f, dt, foreign_a), DimensionMismatch);
+    // Iterates and anchors of another grid are too short.
+    auto a = w.make_matrix_batch();
+    EXPECT_THROW(w.assemble_batch(foreign.distributions(), f, dt, a),
+                 DimensionMismatch);
+    EXPECT_THROW(w.assemble_batch(f, foreign.distributions(), dt, a),
+                 DimensionMismatch);
+    EXPECT_THROW(w.assemble_batch(f, f, 0.0, a), BadArgument);
+    // A rejected call writes nothing.
+    for (size_type sys = 0; sys < a.num_batch(); ++sys) {
+        for (index_type k = 0; k < a.nnz_per_entry(); ++k) {
+            ASSERT_EQ(a.values(sys)[k], 0.0) << "system " << sys;
+        }
+    }
+}
+
+/// Caps the OpenMP team of the calling thread's parallel regions for one
+/// scope.
+class TeamSize {
+public:
+    explicit TeamSize(int threads)
+    {
+#ifdef _OPENMP
+        omp_set_num_threads(threads);
+#else
+        (void)threads;
+#endif
+    }
+    ~TeamSize()
+    {
+#ifdef _OPENMP
+        omp_set_num_threads(previous_);
+#endif
+    }
+    TeamSize(const TeamSize&) = delete;
+    TeamSize& operator=(const TeamSize&) = delete;
+
+private:
+#ifdef _OPENMP
+    int previous_ = omp_get_max_threads();
+#endif
+};
+
+std::vector<real_type> batch_values(const BatchCsr<real_type>& a)
+{
+    return {a.values(0),
+            a.values(0) + static_cast<std::size_t>(a.num_batch()) *
+                              static_cast<std::size_t>(a.nnz_per_entry())};
+}
+
+bool same_bits(const std::vector<real_type>& x,
+               const std::vector<real_type>& y)
+{
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(real_type)) ==
+               0;
+}
+
+TEST(Workload, ConcurrentAssemblyMatchesSerial)
+{
+    WorkloadParams params;
+    params.num_mesh_nodes = 32;
+    const CollisionWorkload w(params);
+    const auto& f = w.distributions();
+    const real_type dt = 0.0035;
+    auto reference = w.make_matrix_batch();
+    {
+        const TeamSize serial(1);
+        w.assemble_batch(f, f, dt, reference);
+    }
+
+    auto first = w.make_matrix_batch();
+    auto second = w.make_matrix_batch();
+    std::exception_ptr first_error;
+    std::exception_ptr second_error;
+    const auto assemble_into = [&](BatchCsr<real_type>& out,
+                                   std::exception_ptr& error) {
+        try {
+            w.assemble_batch(f, f, dt, out);
+        } catch (...) {
+            error = std::current_exception();
+        }
+    };
+    std::thread t1(assemble_into, std::ref(first), std::ref(first_error));
+    std::thread t2(assemble_into, std::ref(second), std::ref(second_error));
+    t1.join();
+    t2.join();
+    for (const auto& error : {first_error, second_error}) {
+        if (error) {
+            std::rethrow_exception(error);
+        }
+    }
+    EXPECT_TRUE(same_bits(batch_values(first), batch_values(reference)));
+    EXPECT_TRUE(same_bits(batch_values(second), batch_values(reference)));
+}
+
+/// Everything one assembly and one implicit collision step produce.
+struct StepOutcome {
+    std::vector<real_type> values;
+    std::vector<real_type> distributions;
+    std::vector<std::vector<int>> iterations;
+    real_type nonlinear_change = 0;
+    std::vector<real_type> conservation_errors;
+    std::vector<real_type> raw_conservation_errors;
+};
+
+/// Runs on a team of `threads` threads (0 = the default team).
+StepOutcome assemble_and_step(const WorkloadParams& params, int threads)
+{
+    std::optional<TeamSize> team;
+    if (threads > 0) {
+        team.emplace(threads);
+    }
+    CollisionWorkload w(params);
+    auto a = w.make_matrix_batch();
+    w.assemble_batch(w.distributions(), w.distributions(), 0.0035, a);
+    const auto report = implicit_collision_step(
+        w, PicardSettings{}, make_reference_solver(SolverSettings{}));
+    StepOutcome out;
+    out.values = batch_values(a);
+    const auto& f = w.distributions();
+    out.distributions.assign(
+        f.data(), f.data() + static_cast<std::size_t>(f.num_batch()) *
+                                 static_cast<std::size_t>(f.len()));
+    for (const auto& log : report.linear_logs) {
+        out.iterations.push_back(log.all_iterations());
+    }
+    out.nonlinear_change = report.nonlinear_change;
+    out.conservation_errors = report.conservation_errors;
+    out.raw_conservation_errors = report.raw_conservation_errors;
+    return out;
+}
+
+TEST(Workload, AssemblyAndPicardStepIndependentOfThreadCount)
+{
+    WorkloadParams two_species;
+    WorkloadParams three_ions;
+    three_ions.num_mesh_nodes = 5;
+    three_ions.num_ion_species = 3;  // each blend averages 3 other species
+    for (const auto& params : {two_species, three_ions}) {
+        const auto serial = assemble_and_step(params, 1);
+        ASSERT_EQ(serial.iterations.size(), 5u);
+        // 3 threads split the nodes unevenly, and run even when the default
+        // team is a single thread.
+        for (const int threads : {3, 0}) {
+            SCOPED_TRACE("ion species " +
+                         std::to_string(params.num_ion_species) +
+                         ", threads " + std::to_string(threads));
+            const auto team = assemble_and_step(params, threads);
+            EXPECT_TRUE(same_bits(team.values, serial.values));
+            EXPECT_TRUE(same_bits(team.distributions, serial.distributions));
+            EXPECT_EQ(team.iterations, serial.iterations);
+            EXPECT_EQ(team.nonlinear_change, serial.nonlinear_change);
+            EXPECT_TRUE(same_bits(team.conservation_errors,
+                                  serial.conservation_errors));
+            EXPECT_TRUE(same_bits(team.raw_conservation_errors,
+                                  serial.raw_conservation_errors));
+        }
+    }
 }
 
 class PicardFixture : public ::testing::Test {
