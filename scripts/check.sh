@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Hardened check tier: build with -Werror, run the sanitizer-labeled
 # tests, the observability (telemetry) tests and the other labelled tiers,
-# then run the solver example suite under --sanitize. Any SIMT sanitizer
-# finding (shared race, barrier divergence, out-of-bounds access) fails
-# the script.
+# the concurrency tests under ThreadSanitizer, then run the solver example
+# suite under --sanitize. Any SIMT sanitizer finding (shared race, barrier
+# divergence, out-of-bounds access) or ThreadSanitizer report fails the
+# script.
 #
 # Usage: scripts/check.sh            (build dir defaults to ./build)
 #        BUILD_DIR=out scripts/check.sh
@@ -102,6 +103,44 @@ ctest --test-dir "$BUILD_DIR" -L xgc --output-on-failure
 # the non-smoke bench_regression.
 echo "== perf regression tier (smoke) =="
 ctest --test-dir "$BUILD_DIR" -L perf --output-on-failure
+
+# ThreadSanitizer: the concurrency tests in a second build compiled and
+# linked with -fsanitize=thread. libgomp is not TSan-instrumented, so TSan
+# cannot see an OpenMP team's own synchronization and reports races inside
+# any region with more than one thread; the tier therefore runs one OpenMP
+# thread, and the races it can see are those between the tests' own
+# std::threads (concurrent solves, registry recording, trace clearing,
+# concurrent batch assembly). Any ThreadSanitizer report makes the test
+# binary exit 66 and fails the tier.
+echo "== thread sanitizer tier =="
+TSAN_DIR="$BUILD_DIR-tsan"
+cmake -B "$TSAN_DIR" -S . -DBSIS_BUILD_BENCH=OFF -DBSIS_BUILD_EXAMPLES=OFF \
+    -DBSIS_BUILD_TOOLS=OFF "-DCMAKE_CXX_FLAGS=-fsanitize=thread -g" \
+    "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread"
+cmake --build "$TSAN_DIR" -j "$(nproc)" \
+    --target test_obs test_attribution test_xgc
+# Runs the tests of one binary that match a gtest filter and fails unless
+# exactly the expected number ran and passed (a renamed test must not
+# silently drop out of the tier).
+tsan_run() {
+    local binary=$1 filter=$2 expected=$3 out
+    echo "-- $binary --gtest_filter=$filter"
+    out=$(OMP_NUM_THREADS=1 "$TSAN_DIR/tests/$binary" \
+        --gtest_filter="$filter" 2>&1) || {
+        echo "$out"
+        echo "check.sh: $binary failed under ThreadSanitizer" >&2
+        exit 1
+    }
+    if ! grep -q "^\[  PASSED  \] $expected test" <<< "$out"; then
+        echo "$out"
+        echo "check.sh: expected $expected passing tests in $binary" >&2
+        exit 1
+    fi
+}
+tsan_run test_attribution \
+    'AttributionEndToEnd.ConcurrentSolvesReportTheirOwnPhaseTotals' 1
+tsan_run test_obs 'Metrics.ShardedRecordingMergesExactlyAcrossThreads:Metrics.GaugeMergeKeepsTheLatestWriteAcrossShards:Trace.ClearWhileOtherThreadsRecord' 3
+tsan_run test_xgc 'Workload.ConcurrentAssemblyMatchesSerial' 1
 
 echo "== sanitized examples =="
 for example in quickstart solver_comparison device_comparison; do

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
@@ -73,6 +74,22 @@ inline bool failure_class_from_name(const std::string& name,
         }
     }
     return false;
+}
+
+/// Adds each non-converged class's count to the counter
+/// `<prefix>.fail.<class>`. Zero counts are added too, so dashboards see a
+/// stable metric set.
+inline void record_failure_counts(obs::MetricsRegistry& m,
+                                  const std::string& prefix,
+                                  const FailureCounts& counts)
+{
+    for (int i = 0; i < num_failure_classes; ++i) {
+        const auto c = static_cast<FailureClass>(i);
+        if (c != FailureClass::converged) {
+            m.add_named(prefix + ".fail." + failure_class_name(c),
+                        counts[static_cast<std::size_t>(i)]);
+        }
+    }
 }
 
 /// A solve that exhausts its iteration budget is `stagnated` rather than

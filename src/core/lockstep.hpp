@@ -707,13 +707,14 @@ void drain_lanes(const SourceBatch& a, const EllSlabPattern& pattern,
 /// Batch driver for the lockstep path: builds the shared slab pattern,
 /// sizes the (separate, rows*W-length) workspace pool, and drains one lane
 /// group per OpenMP thread against a shared work queue. Per-entry results
-/// are staged per thread and merged into the log afterwards.
+/// are staged per thread and merged into the log afterwards; each thread's
+/// phase-tally growth is added to `phases`.
 template <typename Lanes, typename SourceBatch, typename Stop>
 void run_batch_lockstep(const SourceBatch& a, const BatchVector<real_type>& b,
                         BatchVector<real_type>& x, bool zero_guess,
                         const Stop& stop, int max_iters, WorkspacePool& pool,
-                        BatchLog& log,
-                        obs::ConvergenceHistory* history = nullptr)
+                        BatchLog& log, obs::ConvergenceHistory* history,
+                        obs::PhaseTally& phases)
 {
     const EllSlabPattern pattern = make_slab_pattern(a);
     const int nthreads = lockstep::max_threads();
@@ -726,6 +727,9 @@ void run_batch_lockstep(const SourceBatch& a, const BatchVector<real_type>& b,
     std::exception_ptr failure;
 #pragma omp parallel
     {
+        // The thread's tally growth over its drain is its part of this
+        // solve's phase totals.
+        const obs::PhaseTally tally_before = obs::thread_phase_tally();
         try {
             const int thread = lockstep::this_thread();
             // One span per thread covering its whole queue drain: the
@@ -743,6 +747,8 @@ void run_batch_lockstep(const SourceBatch& a, const BatchVector<real_type>& b,
                 }
             }
         }
+#pragma omp critical(bsis_phase_fold)
+        phases.add_delta(obs::thread_phase_tally(), tally_before);
     }
     stage.merge_into(log);
     if (failure) {

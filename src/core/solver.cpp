@@ -123,7 +123,8 @@ void run_lockstep_width(int width, const BatchMatrix& a,
                         const BatchVector<real_type>& b,
                         BatchVector<real_type>& x,
                         const SolverSettings& settings, const Stop& stop,
-                        BatchLog& log, obs::ConvergenceHistory* history)
+                        BatchLog& log, obs::ConvergenceHistory* history,
+                        obs::PhaseTally& phases)
 {
     auto& pool = solve_scratch().lockstep_workspaces;
     const bool zero_guess = !settings.use_initial_guess;
@@ -131,19 +132,23 @@ void run_lockstep_width(int width, const BatchMatrix& a,
     switch (width) {
     case 2:
         run_batch_lockstep<Lanes<2, Jacobi, Pipelined>>(
-            a, b, x, zero_guess, stop, max_iters, pool, log, history);
+            a, b, x, zero_guess, stop, max_iters, pool, log, history,
+            phases);
         break;
     case 4:
         run_batch_lockstep<Lanes<4, Jacobi, Pipelined>>(
-            a, b, x, zero_guess, stop, max_iters, pool, log, history);
+            a, b, x, zero_guess, stop, max_iters, pool, log, history,
+            phases);
         break;
     case 8:
         run_batch_lockstep<Lanes<8, Jacobi, Pipelined>>(
-            a, b, x, zero_guess, stop, max_iters, pool, log, history);
+            a, b, x, zero_guess, stop, max_iters, pool, log, history,
+            phases);
         break;
     default:
         run_batch_lockstep<Lanes<16, Jacobi, Pipelined>>(
-            a, b, x, zero_guess, stop, max_iters, pool, log, history);
+            a, b, x, zero_guess, stop, max_iters, pool, log, history,
+            phases);
         break;
     }
 }
@@ -154,24 +159,24 @@ template <typename Prec, typename BatchMatrix, typename Stop>
 void run_lockstep(const BatchMatrix& a, const BatchVector<real_type>& b,
                   BatchVector<real_type>& x, const SolverSettings& settings,
                   const ExecutionPlan& plan, const Stop& stop, BatchLog& log,
-                  obs::ConvergenceHistory* history)
+                  obs::ConvergenceHistory* history, obs::PhaseTally& phases)
 {
     constexpr bool jacobi = std::is_same_v<Prec, JacobiPrec>;
     const int w = plan.lockstep_width;
     if (settings.solver == SolverType::cg) {
         if (plan.pipelined) {
-            run_lockstep_width<CgLanes, jacobi, true>(w, a, b, x, settings,
-                                                      stop, log, history);
+            run_lockstep_width<CgLanes, jacobi, true>(
+                w, a, b, x, settings, stop, log, history, phases);
         } else {
-            run_lockstep_width<CgLanes, jacobi, false>(w, a, b, x, settings,
-                                                       stop, log, history);
+            run_lockstep_width<CgLanes, jacobi, false>(
+                w, a, b, x, settings, stop, log, history, phases);
         }
     } else if (plan.pipelined) {
         run_lockstep_width<BicgstabLanes, jacobi, true>(
-            w, a, b, x, settings, stop, log, history);
+            w, a, b, x, settings, stop, log, history, phases);
     } else {
         run_lockstep_width<BicgstabLanes, jacobi, false>(
-            w, a, b, x, settings, stop, log, history);
+            w, a, b, x, settings, stop, log, history, phases);
     }
 }
 
@@ -181,12 +186,13 @@ template <typename BatchMatrix, typename Prec, typename Stop>
 void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
                BatchVector<real_type>& x, const SolverSettings& settings,
                const ExecutionPlan& plan, const Stop& stop, BatchLog& log,
-               obs::ConvergenceHistory* history)
+               obs::ConvergenceHistory* history, obs::PhaseTally& phases)
 {
     if constexpr (lockstep_supported_format<BatchMatrix> &&
                   !std::is_same_v<Prec, BlockJacobiPrec>) {
         if (plan.lockstep_width > 0) {
-            run_lockstep<Prec>(a, b, x, settings, plan, stop, log, history);
+            run_lockstep<Prec>(a, b, x, settings, plan, stop, log, history,
+                               phases);
             return;
         }
     }
@@ -212,124 +218,135 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
     // amortizes the per-entry scheduler handshake over 8 entries while
     // keeping the load balancing that varying iteration counts need.
     BatchLogStage stage(nthreads);
-#pragma omp parallel for schedule(dynamic, 8)
-    for (size_type i = 0; i < nbatch; ++i) {
-        try {
-        obs::ScopedSpan entry_span("solve_entry", "solver",
-                                   static_cast<std::int64_t>(i));
-        const int thread = lockstep::this_thread();
-        auto& ws = workspaces.at(thread);
-        const auto av = a.entry(i);
-        const auto bv = b.entry(i);
-        auto xv = x.entry(i);
-        if (!settings.use_initial_guess) {
-            blas::fill(xv, real_type{0});
-        }
-        // Preconditioner storage lives in the tail slots of the workspace
-        // (contiguous, so a multi-slot strip is one view).
-        const int prec_vecs =
-            precond_work_vectors(settings.precond, settings.block_jacobi_size);
-        const int prec_slot_base = solver_slots - prec_vecs;
-        Prec prec = [&] {
-            if constexpr (std::is_same_v<Prec, BlockJacobiPrec>) {
-                return BlockJacobiPrec(settings.block_jacobi_size);
-            } else {
-                return Prec{};
+#pragma omp parallel
+    {
+        // This thread's tally grows only by its own spans; its growth
+        // over the thread's share of the loop is its part of this
+        // solve's phase totals.
+        const obs::PhaseTally tally_before = obs::thread_phase_tally();
+#pragma omp for schedule(dynamic, 8) nowait
+        for (size_type i = 0; i < nbatch; ++i) {
+            try {
+            obs::ScopedSpan entry_span("solve_entry", "solver",
+                                       static_cast<std::int64_t>(i));
+            const int thread = lockstep::this_thread();
+            auto& ws = workspaces.at(thread);
+            const auto av = a.entry(i);
+            const auto bv = b.entry(i);
+            auto xv = x.entry(i);
+            if (!settings.use_initial_guess) {
+                blas::fill(xv, real_type{0});
             }
-        }();
-        {
-            obs::ScopedSpan setup_span("precond_setup", "solver");
-            obs::PhaseTimer setup_timer(obs::Phase::precond);
-            if constexpr (std::is_same_v<Prec, JacobiPrec>) {
-                prec.generate(av, ws.slot(prec_slot_base));
-            } else if constexpr (std::is_same_v<Prec, BlockJacobiPrec>) {
-                prec.generate(av, VecView<real_type>{
-                                      ws.slot(prec_slot_base).data,
-                                      ws.length() * prec_vecs});
-            } else {
-                (void)prec_slot_base;
-                prec.generate(av, VecView<real_type>{});
-            }
-        }
-
-        // Residual trajectory staging; every kernel exposes a history
-        // parameter, so all solvers record when the caller asked for one.
-        std::vector<real_type> traj;
-        std::vector<real_type>* traj_ptr = history != nullptr ? &traj
-                                                              : nullptr;
-
-        EntryResult result;
-        switch (settings.solver) {
-        case SolverType::bicgstab:
-            result = !settings.fused_kernels
-                         ? bicgstab_kernel_unfused(av, bv, xv, prec, stop,
-                                                   settings.max_iterations,
-                                                   ws, 0, traj_ptr)
-                     : plan.pipelined
-                         ? bicgstab_kernel<true>(av, bv, xv, prec, stop,
-                                                 settings.max_iterations, ws,
-                                                 0, traj_ptr)
-                         : bicgstab_kernel(av, bv, xv, prec, stop,
-                                           settings.max_iterations, ws, 0,
-                                           traj_ptr);
-            break;
-        case SolverType::bicg:
-            result = bicg_kernel(av, bv, xv, prec, stop,
-                                 settings.max_iterations, ws, 0, traj_ptr);
-            break;
-        case SolverType::cgs:
-            result = cgs_kernel(av, bv, xv, prec, stop,
-                                settings.max_iterations, ws, 0, traj_ptr);
-            break;
-        case SolverType::cg:
-            result = plan.pipelined
-                         ? cg_kernel<true>(av, bv, xv, prec, stop,
-                                           settings.max_iterations, ws, 0,
-                                           traj_ptr)
-                         : cg_kernel(av, bv, xv, prec, stop,
-                                     settings.max_iterations, ws, 0,
-                                     traj_ptr);
-            break;
-        case SolverType::gmres:
-            result = gmres_kernel(
-                av, bv, xv, prec, stop, settings.max_iterations,
-                settings.gmres_restart, ws,
-                gmres_scratch[static_cast<std::size_t>(thread)], 0, traj_ptr);
-            break;
-        case SolverType::richardson:
-            result = richardson_kernel(av, bv, xv, prec, stop,
-                                       settings.max_iterations, ws,
-                                       settings.richardson_omega, 0,
-                                       traj_ptr);
-            break;
-        case SolverType::chebyshev: {
-            const auto bounds = gershgorin_bounds(
-                av, ws, chebyshev_work_vectors,
-                settings.precond != PrecondType::identity);
-            result = chebyshev_kernel(av, bv, xv, prec, stop,
-                                      settings.max_iterations, bounds, ws, 0,
-                                      traj_ptr);
-            break;
-        }
-        }
-        stage.record(thread, i, result.iterations,
-                     result.residual_norm, result.converged,
-                     result.failure);
-        if (history != nullptr) {
-            for (std::size_t k = 0; k < traj.size(); ++k) {
-                history->record(i, static_cast<int>(k), traj[k]);
-            }
-            history->finalize(i, result.iterations, result.residual_norm,
-                              result.converged);
-        }
-        } catch (...) {
-#pragma omp critical(bsis_solver_failure)
+            // Preconditioner storage lives in the tail slots of the
+            // workspace (contiguous, so a multi-slot strip is one view).
+            const int prec_vecs = precond_work_vectors(
+                settings.precond, settings.block_jacobi_size);
+            const int prec_slot_base = solver_slots - prec_vecs;
+            Prec prec = [&] {
+                if constexpr (std::is_same_v<Prec, BlockJacobiPrec>) {
+                    return BlockJacobiPrec(settings.block_jacobi_size);
+                } else {
+                    return Prec{};
+                }
+            }();
             {
-                if (!failure) {
-                    failure = std::current_exception();
+                obs::ScopedSpan setup_span("precond_setup", "solver");
+                obs::PhaseTimer setup_timer(obs::Phase::precond);
+                if constexpr (std::is_same_v<Prec, JacobiPrec>) {
+                    prec.generate(av, ws.slot(prec_slot_base));
+                } else if constexpr (std::is_same_v<Prec, BlockJacobiPrec>) {
+                    prec.generate(av, VecView<real_type>{
+                                          ws.slot(prec_slot_base).data,
+                                          ws.length() * prec_vecs});
+                } else {
+                    (void)prec_slot_base;
+                    prec.generate(av, VecView<real_type>{});
+                }
+            }
+
+            // Residual trajectory staging; every kernel exposes a history
+            // parameter, so all solvers record when the caller asked for
+            // one.
+            std::vector<real_type> traj;
+            std::vector<real_type>* traj_ptr = history != nullptr ? &traj
+                                                                  : nullptr;
+
+            EntryResult result;
+            switch (settings.solver) {
+            case SolverType::bicgstab:
+                result = !settings.fused_kernels
+                             ? bicgstab_kernel_unfused(av, bv, xv, prec, stop,
+                                                       settings.max_iterations,
+                                                       ws, 0, traj_ptr)
+                         : plan.pipelined
+                             ? bicgstab_kernel<true>(av, bv, xv, prec, stop,
+                                                     settings.max_iterations,
+                                                     ws, 0, traj_ptr)
+                             : bicgstab_kernel(av, bv, xv, prec, stop,
+                                               settings.max_iterations, ws, 0,
+                                               traj_ptr);
+                break;
+            case SolverType::bicg:
+                result = bicg_kernel(av, bv, xv, prec, stop,
+                                     settings.max_iterations, ws, 0, traj_ptr);
+                break;
+            case SolverType::cgs:
+                result = cgs_kernel(av, bv, xv, prec, stop,
+                                    settings.max_iterations, ws, 0, traj_ptr);
+                break;
+            case SolverType::cg:
+                result = plan.pipelined
+                             ? cg_kernel<true>(av, bv, xv, prec, stop,
+                                               settings.max_iterations, ws, 0,
+                                               traj_ptr)
+                             : cg_kernel(av, bv, xv, prec, stop,
+                                         settings.max_iterations, ws, 0,
+                                         traj_ptr);
+                break;
+            case SolverType::gmres:
+                result = gmres_kernel(
+                    av, bv, xv, prec, stop, settings.max_iterations,
+                    settings.gmres_restart, ws,
+                    gmres_scratch[static_cast<std::size_t>(thread)], 0,
+                    traj_ptr);
+                break;
+            case SolverType::richardson:
+                result = richardson_kernel(av, bv, xv, prec, stop,
+                                           settings.max_iterations, ws,
+                                           settings.richardson_omega, 0,
+                                           traj_ptr);
+                break;
+            case SolverType::chebyshev: {
+                const auto bounds = gershgorin_bounds(
+                    av, ws, chebyshev_work_vectors,
+                    settings.precond != PrecondType::identity);
+                result = chebyshev_kernel(av, bv, xv, prec, stop,
+                                          settings.max_iterations, bounds,
+                                          ws, 0, traj_ptr);
+                break;
+            }
+            }
+            stage.record(thread, i, result.iterations,
+                         result.residual_norm, result.converged,
+                         result.failure);
+            if (history != nullptr) {
+                for (std::size_t k = 0; k < traj.size(); ++k) {
+                    history->record(i, static_cast<int>(k), traj[k]);
+                }
+                history->finalize(i, result.iterations, result.residual_norm,
+                                  result.converged);
+            }
+            } catch (...) {
+#pragma omp critical(bsis_solver_failure)
+                {
+                    if (!failure) {
+                        failure = std::current_exception();
+                    }
                 }
             }
         }
+#pragma omp critical(bsis_phase_fold)
+        phases.add_delta(obs::thread_phase_tally(), tally_before);
     }
     stage.merge_into(log);
     if (failure) {
@@ -341,18 +358,18 @@ template <typename BatchMatrix, typename Prec>
 void dispatch_stop(const BatchMatrix& a, const BatchVector<real_type>& b,
                    BatchVector<real_type>& x, const SolverSettings& settings,
                    const ExecutionPlan& plan, BatchLog& log,
-                   obs::ConvergenceHistory* history)
+                   obs::ConvergenceHistory* history, obs::PhaseTally& phases)
 {
     switch (settings.stop) {
     case StopType::abs_residual:
         run_batch<BatchMatrix, Prec>(a, b, x, settings, plan,
                                      AbsResidualStop{settings.tolerance},
-                                     log, history);
+                                     log, history, phases);
         break;
     case StopType::rel_residual:
         run_batch<BatchMatrix, Prec>(a, b, x, settings, plan,
                                      RelResidualStop{settings.tolerance},
-                                     log, history);
+                                     log, history, phases);
         break;
     }
 }
@@ -397,7 +414,7 @@ constexpr obs::LedgerFormat ledger_format()
     }
 }
 
-/// Joins the measured phase-time delta of this solve with the work ledger:
+/// Joins the measured phase totals of this solve with the work ledger:
 /// per-phase achieved-GB/s / GF/s / roofline gauges, the drift check
 /// against the host roofline model, and the continuous-profiler window.
 void record_phase_metrics(obs::MetricsRegistry& m,
@@ -432,8 +449,7 @@ void record_phase_metrics(obs::MetricsRegistry& m,
             peaks.gflops > 0 ? w.flops / (peaks.gflops * 1e9) : 0.0;
         modeled[p] = std::max(mem_s, flop_s);
     }
-    const auto drift =
-        obs::detect_drift(measured, modeled, obs::drift_config());
+    const auto drift = obs::detect_drift(measured, modeled);
     obs::record_drift(m, "solve", drift);
 
     obs::ProfileWindow::Sample sample;
@@ -448,8 +464,7 @@ void record_phase_metrics(obs::MetricsRegistry& m,
 
 /// Post-solve metrics recording (cold path; called once per batch).
 void record_solve_metrics(const BatchSolveResult& result,
-                          const obs::WorkLedger& ledger,
-                          const obs::PhaseTotals& phases)
+                          const obs::WorkLedger& ledger)
 {
     auto& m = obs::metrics();
     m.add_named("solve.batches");
@@ -462,25 +477,12 @@ void record_solve_metrics(const BatchSolveResult& result,
         unconverged += result.log.converged(i) ? 0 : 1;
     }
     m.add_named("solve.unconverged", unconverged);
-    // Per-class failure tallies. Every class counter is always registered
-    // (even at zero) so dashboards see a stable metric set.
-    const FailureCounts fails = result.log.failure_counts();
-    m.add_named("solve.fail.max_iters",
-                fails[static_cast<std::size_t>(FailureClass::max_iters)]);
-    m.add_named("solve.fail.breakdown_rho",
-                fails[static_cast<std::size_t>(FailureClass::breakdown_rho)]);
-    m.add_named(
-        "solve.fail.breakdown_omega",
-        fails[static_cast<std::size_t>(FailureClass::breakdown_omega)]);
-    m.add_named("solve.fail.stagnated",
-                fails[static_cast<std::size_t>(FailureClass::stagnated)]);
-    m.add_named("solve.fail.non_finite",
-                fails[static_cast<std::size_t>(FailureClass::non_finite)]);
+    record_failure_counts(m, "solve", result.log.failure_counts());
     m.observe_named("solve.wall_seconds", result.wall_seconds);
     m.set_named("solve.last_wall_seconds", result.wall_seconds);
     m.set_named("solve.simd_lanes",
                 static_cast<double>(result.work.simd_lanes));
-    record_phase_metrics(m, ledger, phases);
+    record_phase_metrics(m, ledger, result.phases);
     obs::sync_trace_dropped_gauge();
 }
 
@@ -524,10 +526,6 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
                     "negative iteration limit");
     BSIS_ENSURE_ARG(settings.tolerance >= 0, "negative tolerance");
 
-    if (settings.trace_shard_capacity > 0) {
-        obs::trace().set_shard_capacity(
-            static_cast<std::size_t>(settings.trace_shard_capacity));
-    }
     const ExecutionPlan plan = plan_solve<BatchMatrix>(settings);
     if (obs::events_enabled()) {
         obs::events().emit(
@@ -569,40 +567,32 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
     }
     obs::ScopedSpan batch_span("solve_batch", "solver",
                                static_cast<std::int64_t>(a.num_batch()));
-    // Phase-time delta bracket for the attribution join. The global
-    // accumulator tallies every thread, so the delta is attributable to
-    // THIS solve as long as solves are not concurrent (the documented
-    // assumption of per-solve attribution; concurrent solves only blur
-    // the split, never the totals).
-    obs::PhaseTotals phases_before;
+    // Metrics switched on mid-solve would attribute a partial tally.
     const bool attribute = obs::metrics_enabled();
-    if (attribute) {
-        phases_before = obs::phase_times().totals();
-    }
+    obs::PhaseTally phases;
     Timer timer;
     switch (settings.precond) {
     case PrecondType::identity:
         dispatch_stop<BatchMatrix, IdentityPrec>(a, b, x, settings, plan,
-                                                 result.log, history);
+                                                 result.log, history, phases);
         break;
     case PrecondType::jacobi:
         dispatch_stop<BatchMatrix, JacobiPrec>(a, b, x, settings, plan,
-                                               result.log, history);
+                                               result.log, history, phases);
         break;
     case PrecondType::block_jacobi:
-        dispatch_stop<BatchMatrix, BlockJacobiPrec>(a, b, x, settings, plan,
-                                                    result.log, history);
+        dispatch_stop<BatchMatrix, BlockJacobiPrec>(
+            a, b, x, settings, plan, result.log, history, phases);
         break;
     }
     result.wall_seconds = timer.seconds();
+    result.phases = phases.totals();
     if (attribute && obs::metrics_enabled()) {
-        const obs::PhaseTotals phase_delta =
-            obs::phase_times().totals() - phases_before;
         const auto ledger = obs::work_ledger(
             result.work, ledger_shape(a), ledger_format<BatchMatrix>(),
             static_cast<double>(result.log.total_iterations()),
             static_cast<double>(a.num_batch()));
-        record_solve_metrics(result, ledger, phase_delta);
+        record_solve_metrics(result, ledger);
     }
     if (settings.flight_recorder != nullptr) {
         capture_failures(a, b, x0_snapshot, settings, result);

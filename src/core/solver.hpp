@@ -17,6 +17,7 @@
 #include "matrix/batch_ell.hpp"
 #include "matrix/batch_sellp.hpp"
 #include "obs/convergence.hpp"
+#include "obs/phase.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
@@ -80,13 +81,6 @@ struct SolverSettings {
     /// caller and may serve many solves; capture happens after the solve,
     /// off the hot path.
     obs::FlightRecorder* flight_recorder = nullptr;
-    /// When positive, the global TraceSession's per-shard event capacity
-    /// is set to this many spans before the solve runs (the equivalent of
-    /// `--trace-buffer=N` on the example CLIs). 0 keeps the session's
-    /// current capacity. Spans past the cap are dropped and counted in
-    /// the `obs.trace.dropped` gauge; the emitted Chrome trace stays
-    /// valid JSON either way.
-    int trace_shard_capacity = 0;
 };
 
 /// Outcome of a batched solve.
@@ -97,6 +91,11 @@ struct BatchSolveResult {
     /// Residual trajectories; populated (history.active()) only when
     /// `SolverSettings::record_convergence` was set.
     obs::ConvergenceHistory history;
+    /// Per-phase span totals of this solve alone: the sum over the
+    /// threads that ran it of their tallies' growth during their share of
+    /// the work, so a concurrent solve's spans never land here. Zero
+    /// while metrics are off.
+    obs::PhaseTotals phases;
 };
 
 /// Solves every system of the batch: a.entry(i) * x.entry(i) = b.entry(i).

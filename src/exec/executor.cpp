@@ -222,26 +222,7 @@ GpuSolveReport SimGpuExecutor::solve_impl(const BatchMatrix& a,
             m.set_named("gpusim.l1_hit_rate", report.profile.l1_hit_rate());
             m.set_named("gpusim.l2_hit_rate", report.profile.l2_hit_rate());
         }
-        m.add_named(
-            "gpusim.fail.max_iters",
-            report.failures[static_cast<std::size_t>(
-                FailureClass::max_iters)]);
-        m.add_named(
-            "gpusim.fail.breakdown_rho",
-            report.failures[static_cast<std::size_t>(
-                FailureClass::breakdown_rho)]);
-        m.add_named(
-            "gpusim.fail.breakdown_omega",
-            report.failures[static_cast<std::size_t>(
-                FailureClass::breakdown_omega)]);
-        m.add_named(
-            "gpusim.fail.stagnated",
-            report.failures[static_cast<std::size_t>(
-                FailureClass::stagnated)]);
-        m.add_named(
-            "gpusim.fail.non_finite",
-            report.failures[static_cast<std::size_t>(
-                FailureClass::non_finite)]);
+        record_failure_counts(m, "gpusim", report.failures);
 
         // Performance attribution of the MODELED device run: the block
         // cost decomposition splits the kernel time into phases, the
@@ -354,7 +335,7 @@ GpuSolveReport SimGpuExecutor::solve_impl(const BatchMatrix& a,
         // share, so the stream:latency balance of the two sides differs
         // by construction; this model-vs-floor check gets twice the band
         // of the measured-path checks.
-        auto drift_cfg = obs::drift_config();
+        obs::DriftConfig drift_cfg;
         drift_cfg.ratio_threshold *= 2.0;
         // The "measured" side here is the model's own deterministic
         // decomposition -- no wall-clock noise -- so the minimum-total

@@ -278,30 +278,6 @@ void pentadiag_solve(PentadiagView<real_type> a, VecView<real_type> b)
     }
 }
 
-void batch_pentadiag(BatchPentadiag& a, BatchVector<real_type>& x)
-{
-    BSIS_ENSURE_DIMS(a.num_batch() == x.num_batch() && a.n() == x.len(),
-                     "batch shape mismatch");
-    const size_type nbatch = a.num_batch();
-    std::exception_ptr failure;
-#pragma omp parallel for schedule(static)
-    for (size_type b = 0; b < nbatch; ++b) {
-        try {
-            pentadiag_solve(a.entry(b), x.entry(b));
-        } catch (...) {
-#pragma omp critical(bsis_batch_driver_failure)
-            {
-                if (!failure) {
-                    failure = std::current_exception();
-                }
-            }
-        }
-    }
-    if (failure) {
-        std::rethrow_exception(failure);
-    }
-}
-
 double thomas_flops(index_type n)
 {
     return 8.0 * n;  // 3 in the sweep + 5 in the back substitution

@@ -101,8 +101,6 @@ private:
 /// algorithm [12]); destroys the matrix, overwrites b with the solution.
 void pentadiag_solve(PentadiagView<real_type> a, VecView<real_type> b);
 
-void batch_pentadiag(BatchPentadiag& a, BatchVector<real_type>& x);
-
 /// Flop counts for the device cost models.
 double thomas_flops(index_type n);
 double cyclic_reduction_flops(index_type n);

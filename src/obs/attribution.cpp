@@ -281,9 +281,6 @@ void add_scalar_check(DriftReport& report, const std::string& name,
 }
 
 namespace {
-std::mutex drift_mutex;
-DriftConfig drift_cfg;
-
 void add_check_fields(std::vector<EventField>& fields,
                       const std::string& name, double measured,
                       double modeled, double ratio, bool alarmed)
@@ -333,18 +330,6 @@ int record_drift(MetricsRegistry& registry, const std::string& prefix,
         events().emit("drift.alarm", fields);
     }
     return alarms;
-}
-
-DriftConfig drift_config()
-{
-    std::lock_guard<std::mutex> lock(drift_mutex);
-    return drift_cfg;
-}
-
-void set_drift_config(const DriftConfig& config)
-{
-    std::lock_guard<std::mutex> lock(drift_mutex);
-    drift_cfg = config;
 }
 
 // ---------------------------------------------------------------------

@@ -6,9 +6,10 @@
 // per-iteration operation counts (core SolverWorkProfile, the same struct
 // the gpusim cost model prices) plus the runtime shape of the batch into
 // bytes read/written, flops, and reduction points per phase kind. The
-// measured half is obs/phase.hpp's PhaseAccumulator, fed by every
-// `obs::traced` span on all three execution paths. Dividing one by the
-// other gives achieved GB/s and GF/s per phase, a roofline classification
+// measured half is a solve's PhaseTotals (obs/phase.hpp), summed from
+// the per-thread tallies that every `obs::traced` span feeds, so a
+// concurrent solve's spans never enter them. Dividing one by the other
+// gives achieved GB/s and GF/s per phase, a roofline classification
 // against the platform peaks, and -- when measurement and model disagree
 // beyond a threshold -- a drift alarm, recorded as one `drift.alarm`
 // event-log line for the autotuning audit trail.
@@ -213,11 +214,6 @@ void add_scalar_check(DriftReport& report, const std::string& name,
 /// checks report shares). Returns the number of alarms.
 int record_drift(MetricsRegistry& registry, const std::string& prefix,
                  const DriftReport& report);
-
-/// The process-wide drift thresholds (record sites read these; tests and
-/// tools tighten them to provoke alarms).
-DriftConfig drift_config();
-void set_drift_config(const DriftConfig& config);
 
 // ---------------------------------------------------------------------
 // Continuous profiler: rolling window of per-solve phase aggregates.

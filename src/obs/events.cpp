@@ -55,12 +55,6 @@ void EventLog::close()
     path_.clear();
 }
 
-bool EventLog::active() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return out_.is_open();
-}
-
 std::int64_t EventLog::emitted() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -71,12 +65,6 @@ int EventLog::rotations() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return rotations_;
-}
-
-std::string EventLog::path() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return path_;
 }
 
 void EventLog::rotate_locked()

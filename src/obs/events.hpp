@@ -106,8 +106,6 @@ public:
     /// Flushes and closes; emit() becomes a no-op again.
     void close();
 
-    bool active() const;
-
     /// Appends one event line: {"ts": <unix seconds>, "event": <kind>,
     /// <fields...>}. Thread-safe; no-op while inactive. Non-finite
     /// numbers are written as json_number writes them.
@@ -124,8 +122,6 @@ public:
 
     /// Rotations performed since open().
     int rotations() const;
-
-    std::string path() const;
 
 private:
     void rotate_locked();

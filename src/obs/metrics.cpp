@@ -111,34 +111,41 @@ std::string MetricsSnapshot::json() const
 MetricsRegistry::Id MetricsRegistry::register_metric(const std::string& name,
                                                      Kind kind)
 {
-    std::lock_guard<std::mutex> lock(names_mutex_);
-    const auto check_unique = [&](const std::vector<std::string>& other) {
-        for (const auto& n : other) {
-            BSIS_ENSURE_ARG(n != name,
-                            "metric '" + name +
-                                "' already registered with another kind");
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto find = [&](const auto& table) {
+        for (std::size_t slot = 0; slot < table.size(); ++slot) {
+            if (table[slot].name == name) {
+                return static_cast<int>(slot);
+            }
         }
+        return -1;
     };
-    auto& names = kind == Kind::counter
-                      ? counter_names_
-                      : (kind == Kind::gauge ? gauge_names_
-                                             : histogram_names_);
-    for (std::size_t slot = 0; slot < names.size(); ++slot) {
-        if (names[slot] == name) {
-            return encode(kind, static_cast<int>(slot));
-        }
+    // Indexed by Kind.
+    const int found[] = {find(counters_), find(gauges_), find(histograms_)};
+    if (found[static_cast<int>(kind)] >= 0) {
+        return encode(kind, found[static_cast<int>(kind)]);
     }
-    if (kind != Kind::counter) {
-        check_unique(counter_names_);
+    for (const int slot : found) {
+        BSIS_ENSURE_ARG(slot < 0,
+                        "metric '" + name +
+                            "' already registered with another kind");
     }
-    if (kind != Kind::gauge) {
-        check_unique(gauge_names_);
+    std::size_t size = 0;
+    switch (kind) {
+    case Kind::counter:
+        counters_.push_back({name, 0});
+        size = counters_.size();
+        break;
+    case Kind::gauge:
+        gauges_.push_back({name, 0.0, false});
+        size = gauges_.size();
+        break;
+    case Kind::histogram:
+        histograms_.push_back({name, {}, {}, 1});
+        size = histograms_.size();
+        break;
     }
-    if (kind != Kind::histogram) {
-        check_unique(histogram_names_);
-    }
-    names.push_back(name);
-    return encode(kind, static_cast<int>(names.size()) - 1);
+    return encode(kind, static_cast<int>(size) - 1);
 }
 
 MetricsRegistry::Id MetricsRegistry::counter(const std::string& name)
@@ -159,64 +166,48 @@ MetricsRegistry::Id MetricsRegistry::histogram(const std::string& name)
 void MetricsRegistry::add(Id id, std::int64_t delta)
 {
     BSIS_ASSERT(kind_of(id) == Kind::counter);
-    const int slot = slot_of(id);
-    auto& shard = shards_.local();
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (static_cast<std::size_t>(slot) >= shard.counters.size()) {
-        shard.counters.resize(static_cast<std::size_t>(slot) + 1, 0);
-    }
-    shard.counters[static_cast<std::size_t>(slot)] += delta;
+    std::lock_guard<std::mutex> lock(mutex_);
+    counters_.at(slot_of(id)).value += delta;
 }
 
 void MetricsRegistry::set(Id id, double value)
 {
     BSIS_ASSERT(kind_of(id) == Kind::gauge);
-    const int slot = slot_of(id);
-    const auto seq = gauge_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    auto& shard = shards_.local();
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (static_cast<std::size_t>(slot) >= shard.gauges.size()) {
-        shard.gauges.resize(static_cast<std::size_t>(slot) + 1);
-    }
-    auto& cell = shard.gauges[static_cast<std::size_t>(slot)];
-    cell.seq = seq;
-    cell.value = value;
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto& gauge = gauges_.at(slot_of(id));
+    gauge.value = value;
+    gauge.set = true;
 }
 
 void MetricsRegistry::observe(Id id, double sample)
 {
     BSIS_ASSERT(kind_of(id) == Kind::histogram);
-    const int slot = slot_of(id);
-    auto& shard = shards_.local();
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (static_cast<std::size_t>(slot) >= shard.histograms.size()) {
-        shard.histograms.resize(static_cast<std::size_t>(slot) + 1);
-    }
-    auto& cell = shard.histograms[static_cast<std::size_t>(slot)];
-    cell.max = cell.any ? std::max(cell.max, sample) : sample;
-    cell.any = true;
-    cell.sum += sample;
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto& h = histograms_.at(slot_of(id));
+    auto& summary = h.summary;
+    summary.max = summary.count == 0 ? sample : std::max(summary.max, sample);
+    summary.sum += sample;
     // Stride decimation keeps the reservoir bounded: when full, drop every
     // other retained sample and double the admission stride. count stays
     // exact; quantiles come from the retained subsample.
-    if (cell.count % cell.stride == 0) {
-        if (cell.samples.size() ==
+    if (summary.count % h.stride == 0) {
+        if (h.samples.size() ==
             static_cast<std::size_t>(histogram_shard_capacity)) {
             std::vector<double> kept;
-            kept.reserve(cell.samples.size() / 2 + 1);
-            for (std::size_t i = 0; i < cell.samples.size(); i += 2) {
-                kept.push_back(cell.samples[i]);
+            kept.reserve(h.samples.size() / 2 + 1);
+            for (std::size_t i = 0; i < h.samples.size(); i += 2) {
+                kept.push_back(h.samples[i]);
             }
-            cell.samples = std::move(kept);
-            cell.stride *= 2;
-            if (cell.count % cell.stride == 0) {
-                cell.samples.push_back(sample);
+            h.samples = std::move(kept);
+            h.stride *= 2;
+            if (summary.count % h.stride == 0) {
+                h.samples.push_back(sample);
             }
         } else {
-            cell.samples.push_back(sample);
+            h.samples.push_back(sample);
         }
     }
-    ++cell.count;
+    ++summary.count;
 }
 
 void MetricsRegistry::add_named(const std::string& name, std::int64_t delta)
@@ -237,60 +228,15 @@ void MetricsRegistry::observe_named(const std::string& name, double sample)
 MetricsSnapshot MetricsRegistry::snapshot() const
 {
     MetricsSnapshot snap;
-    std::vector<std::uint64_t> gauge_seqs;
-    {
-        std::lock_guard<std::mutex> lock(names_mutex_);
-        snap.counters.resize(counter_names_.size());
-        for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-            snap.counters[i].name = counter_names_[i];
-        }
-        snap.gauges.resize(gauge_names_.size());
-        for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-            snap.gauges[i].name = gauge_names_[i];
-        }
-        snap.histograms.resize(histogram_names_.size());
-        for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
-            snap.histograms[i].name = histogram_names_[i];
-        }
-    }
-    gauge_seqs.assign(snap.gauges.size(), 0);
-    std::vector<std::vector<double>> hist_samples(snap.histograms.size());
-    shards_.for_each([&](const Shard& shard) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (std::size_t i = 0;
-             i < shard.counters.size() && i < snap.counters.size(); ++i) {
-            snap.counters[i].value += shard.counters[i];
-        }
-        for (std::size_t i = 0;
-             i < shard.gauges.size() && i < snap.gauges.size(); ++i) {
-            const auto& cell = shard.gauges[i];
-            if (cell.seq > gauge_seqs[i]) {
-                gauge_seqs[i] = cell.seq;
-                snap.gauges[i].value = cell.value;
-                snap.gauges[i].set = true;
-            }
-        }
-        for (std::size_t i = 0;
-             i < shard.histograms.size() && i < snap.histograms.size();
-             ++i) {
-            const auto& cell = shard.histograms[i];
-            auto& summary = snap.histograms[i].summary;
-            summary.count += cell.count;
-            summary.sum += cell.sum;
-            if (cell.any) {
-                summary.max = summary.count == cell.count
-                                  ? cell.max
-                                  : std::max(summary.max, cell.max);
-            }
-            hist_samples[i].insert(hist_samples[i].end(),
-                                   cell.samples.begin(),
-                                   cell.samples.end());
-        }
-    });
-    for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-        auto& summary = snap.histograms[i].summary;
-        summary.p50 = quantile(hist_samples[i], 0.50);
-        summary.p95 = quantile(hist_samples[i], 0.95);
+    std::lock_guard<std::mutex> lock(mutex_);
+    snap.counters = counters_;
+    snap.gauges = gauges_;
+    snap.histograms.reserve(histograms_.size());
+    for (const auto& h : histograms_) {
+        auto summary = h.summary;
+        summary.p50 = quantile(h.samples, 0.50);
+        summary.p95 = quantile(h.samples, 0.95);
+        snap.histograms.push_back({h.name, summary});
     }
     return snap;
 }
@@ -307,12 +253,17 @@ bool MetricsRegistry::write_json(const std::string& path) const
 
 void MetricsRegistry::reset_values()
 {
-    shards_.for_each([](Shard& shard) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.counters.assign(shard.counters.size(), 0);
-        shard.gauges.assign(shard.gauges.size(), GaugeCell{});
-        shard.histograms.assign(shard.histograms.size(), HistCell{});
-    });
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto& c : counters_) {
+        c.value = 0;
+    }
+    for (auto& g : gauges_) {
+        g.value = 0;
+        g.set = false;
+    }
+    for (auto& h : histograms_) {
+        h = {h.name, {}, {}, 1};
+    }
 }
 
 }  // namespace bsis::obs

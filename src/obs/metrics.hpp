@@ -3,21 +3,20 @@
 //
 // The registry is the live replacement of the one-off bench computations:
 // every execution path (scalar, lockstep, simulated GPU) records into the
-// same named metrics, and a snapshot serializes them as JSON. Recording is
-// sharded per thread (cache-line-aligned shards, merged on snapshot --
-// the BatchLogStage pattern) so the hot solver loops never contend on a
-// shared cache line. Record sites are expected to be gated by
-// `obs::metrics_enabled()` (see obs/telemetry.hpp); a disabled registry
-// costs one relaxed atomic load per site.
+// same named metrics, and a snapshot serializes them as JSON. One mutex
+// guards the names and the values: every record site runs on a cold path
+// (once per solve, Picard step or monitor tick, after the parallel
+// region), so there is nothing to shard. The kernels' per-phase time goes
+// to per-thread tallies instead (obs/phase.hpp). Record sites are
+// expected to be gated by `obs::metrics_enabled()` (see
+// obs/telemetry.hpp); a disabled registry costs one relaxed atomic load
+// per site.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "obs/sharding.hpp"
 
 namespace bsis::obs {
 
@@ -43,7 +42,7 @@ struct HistogramSummary {
 /// ProfileWindow's p95 both use it.
 double quantile(std::vector<double> samples, double q);
 
-/// Point-in-time merge of every shard.
+/// Point-in-time copy of every registered metric.
 struct MetricsSnapshot {
     struct Counter {
         std::string name;
@@ -75,14 +74,13 @@ struct MetricsSnapshot {
     std::string json() const;
 };
 
-/// Registry of named metrics with per-thread sharded recording.
+/// Registry of named metrics; thread-safe under one mutex.
 class MetricsRegistry {
 public:
     using Id = int;
 
-    /// Samples retained per histogram shard before stride decimation
-    /// halves them (count/sum/max stay exact; quantiles become
-    /// approximate).
+    /// Samples each histogram retains before stride decimation halves
+    /// them (count/sum/max stay exact; quantiles become approximate).
     static constexpr int histogram_shard_capacity = 4096;
 
     /// Registration is idempotent: the same name always yields the same
@@ -96,8 +94,8 @@ public:
     void set(Id id, double value);
     void observe(Id id, double sample);
 
-    /// Convenience name-based recording for cold call sites (one mutex
-    /// acquisition for the registration lookup).
+    /// Convenience name-based recording for cold call sites (registers
+    /// the name on first use).
     void add_named(const std::string& name, std::int64_t delta = 1);
     void set_named(const std::string& name, double value);
     void observe_named(const std::string& name, double sample);
@@ -112,46 +110,32 @@ public:
 private:
     enum class Kind { counter, gauge, histogram };
 
-    /// Ids encode (kind, slot-within-kind) so the record calls decode them
-    /// without touching the registry's name table (no shared lock on the
-    /// hot path; the per-thread shard's own mutex is the only
-    /// synchronization, uncontended except against snapshots).
+    /// Ids encode (kind, slot-within-kind), so recording indexes the
+    /// kind's table directly.
     static constexpr Id kind_shift = 24;
     static Id encode(Kind kind, int slot)
     {
         return (static_cast<Id>(kind) << kind_shift) | slot;
     }
     static Kind kind_of(Id id) { return static_cast<Kind>(id >> kind_shift); }
-    static int slot_of(Id id) { return id & ((1 << kind_shift) - 1); }
+    static std::size_t slot_of(Id id)
+    {
+        return static_cast<std::size_t>(id & ((1 << kind_shift) - 1));
+    }
 
-    struct GaugeCell {
-        std::uint64_t seq = 0;  ///< global set() order; merge keeps max
-        double value = 0;
-    };
-    struct HistCell {
+    struct Histogram {
+        std::string name;
+        HistogramSummary summary;     ///< count/sum/max exact; no quantiles
         std::vector<double> samples;  ///< stride-decimated reservoir
         std::int64_t stride = 1;
-        std::int64_t count = 0;  ///< exact, including decimated samples
-        double sum = 0;
-        double max = 0;
-        bool any = false;
-    };
-    struct alignas(64) Shard {
-        int index = 0;  ///< registration order (required by PerThreadShards)
-        mutable std::mutex mutex;
-        std::vector<std::int64_t> counters;
-        std::vector<GaugeCell> gauges;
-        std::vector<HistCell> histograms;
     };
 
     Id register_metric(const std::string& name, Kind kind);
 
-    mutable std::mutex names_mutex_;
-    std::vector<std::string> counter_names_;
-    std::vector<std::string> gauge_names_;
-    std::vector<std::string> histogram_names_;
-    std::atomic<std::uint64_t> gauge_seq_{0};
-    PerThreadShards<Shard> shards_;
+    mutable std::mutex mutex_;
+    std::vector<MetricsSnapshot::Counter> counters_;
+    std::vector<MetricsSnapshot::Gauge> gauges_;
+    std::vector<Histogram> histograms_;
 };
 
 }  // namespace bsis::obs

@@ -20,7 +20,7 @@
 //     gauge so file-based consumers need no PromQL) and atomically
 //     rewrites the promfile, the one exposition channel.
 //
-// The sampler never touches solver hot paths: it reads the same sharded
+// The sampler never touches solver hot paths: it reads the same registry
 // snapshots every cold path reads, at a default 250 ms tick, and lives
 // under the same <= 2% telemetry-overhead gate as the rest of the obs
 // stack (bench_regression's monitor A/B row). Tests drive ticks

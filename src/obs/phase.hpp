@@ -1,22 +1,18 @@
-// Phase taxonomy and per-thread phase-time accumulation (the measurement
-// half of the performance-attribution layer; see obs/attribution.hpp for
-// the modeled half).
+// Phase taxonomy and per-thread phase-time tallies (the measurement half
+// of the performance-attribution layer; see obs/attribution.hpp for the
+// modeled half).
 //
 // Every `obs::traced` span in the solver kernels names one of a fixed,
 // small set of phase kinds -- an SpMV sweep, a preconditioner
 // application, a block-wide reduction, a streaming vector update. The
-// accumulator tallies wall nanoseconds, call counts and a deterministic
-// 1-in-`cpu_sample_period` sample of thread-CPU nanoseconds per kind into
-// per-thread cache-line-aligned shards of relaxed atomics, so the hot
-// loops never contend and never take a lock; totals() sums the shards.
-// Recording is gated by `obs::metrics_enabled()` (see obs/telemetry.hpp):
-// disabled cost is one relaxed load per span.
+// recording thread's own PhaseTally counts wall nanoseconds, calls and a
+// deterministic 1-in-`cpu_sample_period` sample of thread-CPU nanoseconds
+// per kind; a solve sums its worker threads' deltas into its own
+// PhaseTotals. Recording is gated by `obs::metrics_enabled()` (see
+// obs/telemetry.hpp): disabled cost is one relaxed load per span.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-
-#include "obs/sharding.hpp"
 
 namespace bsis::obs {
 
@@ -59,14 +55,14 @@ inline const char* phase_name(Phase phase)
 /// cheap next to a microsecond-scale kernel.
 inline constexpr std::int64_t cpu_sample_period = 16;
 
-/// Point-in-time sum over every shard: wall seconds, span count and the
-/// thread-CPU sample per phase kind. Subtraction gives the delta
-/// attributable to one solve. Wall time is what bandwidth attribution
-/// wants (achieved GB/s is a wall-clock fact); CPU time is what drift
-/// detection wants -- a scheduler preemption landing inside one span
-/// inflates its wall share arbitrarily but leaves its CPU share intact,
-/// so share comparisons against the model stay meaningful on a loaded
-/// machine.
+/// Wall seconds, span count and the thread-CPU sample per phase kind, as
+/// one solve (BatchSolveResult::phases) or one thread's tally reports
+/// them; subtracting two readings gives the spans between them. Wall time
+/// is what bandwidth attribution wants (achieved GB/s is a wall-clock
+/// fact); CPU time is what drift detection wants -- a scheduler
+/// preemption landing inside one span inflates its wall share arbitrarily
+/// but leaves its CPU share intact, so share comparisons against the
+/// model stay meaningful on a loaded machine.
 ///
 /// `cpu_seconds` is estimated from the sample: sampled CPU seconds x
 /// calls / sampled calls, exact when every span was sampled. Each sample
@@ -126,87 +122,68 @@ struct PhaseTotals {
     }
 };
 
-/// Per-thread sharded phase-time tally. add() is wait-free (relaxed
-/// fetch_adds on the calling thread's own cache line: two per span, four
-/// on a sampled one); totals() sums the shards with relaxed loads --
-/// callers measure before/after deltas around a solve, so in-flight
-/// recording only blurs a delta by the spans racing the snapshot.
-class PhaseAccumulator {
-public:
-    /// Whether the calling thread's next span of `phase` reads the
-    /// thread-CPU clock: its first, then every `cpu_sample_period`-th.
-    bool sample_next(Phase phase)
+/// One thread's running phase tally: wall and sampled thread-CPU
+/// nanoseconds and span counts per phase kind. Each thread owns one (see
+/// thread_phase_tally()) and is the only one to read or write it, so
+/// recording takes no lock and no atomic. A solve takes each of its worker
+/// threads' tally before and after that thread's share of the work and
+/// sums the differences (add_delta), so its totals never include a span
+/// of a concurrent solve.
+struct PhaseTally {
+    std::int64_t ns[phase_count] = {};
+    std::int64_t cpu_ns[phase_count] = {};
+    std::int64_t calls[phase_count] = {};
+    std::int64_t sampled[phase_count] = {};
+
+    /// Whether the next span of `phase` reads the thread-CPU clock: the
+    /// thread's first, then every `cpu_sample_period`-th.
+    bool sample_next(Phase phase) const
     {
-        const auto& shard = shards_.local();
-        return shard.calls[static_cast<int>(phase)].load(
-                   std::memory_order_relaxed) %
-                   cpu_sample_period ==
-               0;
+        return calls[static_cast<int>(phase)] % cpu_sample_period == 0;
     }
 
-    /// Tallies one span; `cpu_ns < 0` marks it as not sampled.
-    void add(Phase phase, std::int64_t wall_ns, std::int64_t cpu_ns)
+    /// Tallies one span; `span_cpu_ns < 0` marks it as not sampled.
+    void add(Phase phase, std::int64_t wall_ns, std::int64_t span_cpu_ns)
     {
-        auto& shard = shards_.local();
         const auto p = static_cast<int>(phase);
-        shard.ns[p].fetch_add(wall_ns, std::memory_order_relaxed);
-        shard.calls[p].fetch_add(1, std::memory_order_relaxed);
-        if (cpu_ns >= 0) {
-            shard.cpu_ns[p].fetch_add(cpu_ns, std::memory_order_relaxed);
-            shard.sampled[p].fetch_add(1, std::memory_order_relaxed);
+        ns[p] += wall_ns;
+        ++calls[p];
+        if (span_cpu_ns >= 0) {
+            cpu_ns[p] += span_cpu_ns;
+            ++sampled[p];
+        }
+    }
+
+    /// Adds `later - earlier`, two readings of one thread's tally.
+    void add_delta(const PhaseTally& later, const PhaseTally& earlier)
+    {
+        for (int p = 0; p < phase_count; ++p) {
+            ns[p] += later.ns[p] - earlier.ns[p];
+            cpu_ns[p] += later.cpu_ns[p] - earlier.cpu_ns[p];
+            calls[p] += later.calls[p] - earlier.calls[p];
+            sampled[p] += later.sampled[p] - earlier.sampled[p];
         }
     }
 
     PhaseTotals totals() const
     {
         PhaseTotals t;
-        shards_.for_each([&](const Shard& shard) {
-            for (int p = 0; p < phase_count; ++p) {
-                t.seconds[p] +=
-                    1e-9 * static_cast<double>(
-                               shard.ns[p].load(std::memory_order_relaxed));
-                t.calls[p] +=
-                    shard.calls[p].load(std::memory_order_relaxed);
-                t.sampled_cpu_seconds[p] +=
-                    1e-9 *
-                    static_cast<double>(
-                        shard.cpu_ns[p].load(std::memory_order_relaxed));
-                t.sampled_calls[p] +=
-                    shard.sampled[p].load(std::memory_order_relaxed);
-            }
-        });
+        for (int p = 0; p < phase_count; ++p) {
+            t.seconds[p] = 1e-9 * static_cast<double>(ns[p]);
+            t.calls[p] = calls[p];
+            t.sampled_cpu_seconds[p] = 1e-9 * static_cast<double>(cpu_ns[p]);
+            t.sampled_calls[p] = sampled[p];
+        }
         t.estimate_cpu();
         return t;
     }
 
-    /// Zeroes every shard, which also restarts each thread's CPU sample
-    /// at its next span (tests; not needed for delta-based use).
-    void reset()
-    {
-        shards_.for_each([](Shard& shard) {
-            for (int p = 0; p < phase_count; ++p) {
-                shard.ns[p].store(0, std::memory_order_relaxed);
-                shard.cpu_ns[p].store(0, std::memory_order_relaxed);
-                shard.calls[p].store(0, std::memory_order_relaxed);
-                shard.sampled[p].store(0, std::memory_order_relaxed);
-            }
-        });
-    }
-
-private:
-    struct alignas(64) Shard {
-        int index = 0;  ///< registration order (required by PerThreadShards)
-        std::atomic<std::int64_t> ns[phase_count] = {};
-        std::atomic<std::int64_t> cpu_ns[phase_count] = {};
-        std::atomic<std::int64_t> calls[phase_count] = {};
-        std::atomic<std::int64_t> sampled[phase_count] = {};
-    };
-
-    PerThreadShards<Shard> shards_;
+    /// Zeroes the tally, which also restarts its CPU sample pattern.
+    void reset() { *this = PhaseTally{}; }
 };
 
-/// The process-wide accumulator every `obs::traced` span records into
-/// while metrics are enabled.
-PhaseAccumulator& phase_times();
+/// The calling thread's tally, which every `obs::traced` phase span on
+/// that thread records into while metrics are enabled.
+PhaseTally& thread_phase_tally();
 
 }  // namespace bsis::obs

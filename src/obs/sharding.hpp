@@ -1,13 +1,12 @@
-// Per-thread shard management shared by the telemetry sinks.
+// Per-thread shard management for the trace sink.
 //
-// MetricsRegistry and TraceSession both follow the BatchLogStage pattern:
-// every recording thread owns a cache-line-aligned shard it appends to
-// without touching its neighbours, and snapshots merge the shards. This
-// helper owns the shard lifetime and the thread -> shard lookup: the fast
-// path is a one-entry thread_local cache validated by a process-wide
-// generation stamp (so a destroyed owner reusing the same address never
-// resurrects a stale shard), the slow path registers the thread under a
-// mutex.
+// TraceSession follows the BatchLogStage pattern: every recording thread
+// owns a cache-line-aligned shard it appends to without touching its
+// neighbours, and snapshots merge the shards. This helper owns the shard
+// lifetime and the thread -> shard lookup: the fast path is a one-entry
+// thread_local cache validated by a process-wide generation stamp (so a
+// destroyed owner reusing the same address never resurrects a stale
+// shard), the slow path registers the thread under a mutex.
 #pragma once
 
 #include <atomic>

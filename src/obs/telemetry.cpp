@@ -24,15 +24,15 @@ TraceSession& trace()
     return session;
 }
 
-PhaseAccumulator& phase_times()
-{
-    static PhaseAccumulator accumulator;
-    return accumulator;
-}
+namespace {
+thread_local PhaseTally tally;
+}  // namespace
+
+PhaseTally& thread_phase_tally() { return tally; }
 
 void PhaseTimer::start()
 {
-    if (metrics_ && phase_times().sample_next(phase_)) {
+    if (metrics_ && tally.sample_next(phase_)) {
         start_cpu_ = thread_cpu_ns();
         sampled_ = true;
     }
@@ -50,7 +50,7 @@ void PhaseTimer::finish()
         if (sampled_) {
             cpu = start_cpu_ >= 0 ? thread_cpu_ns() - start_cpu_ : ns;
         }
-        phase_times().add(phase_, ns, cpu);
+        tally.add(phase_, ns, cpu);
     }
     if (trace_) {
         trace().emit_host(name_, "kernel", start_, end);

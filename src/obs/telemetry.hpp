@@ -6,9 +6,9 @@
 // so the disabled cost is one predictable branch. bench_regression gates
 // the disabled cost against its committed baseline and the enabled cost
 // against paired telemetry-off reps (see PhaseTimer). The global
-// MetricsRegistry and TraceSession singletons live for the process;
-// examples and apps flip the flags from `--metrics-json=` / `--trace=`
-// CLI options.
+// MetricsRegistry and TraceSession singletons live for the process, and
+// each thread keeps its own PhaseTally; examples and apps flip the flags
+// from `--metrics-json=` / `--trace=` CLI options.
 #pragma once
 
 #include <atomic>
@@ -110,21 +110,22 @@ inline std::int64_t thread_cpu_ns()
     return -1;
 }
 
-/// RAII phase timer against the global PhaseAccumulator (the measurement
-/// half of the attribution layer). Given a `span_name`, the same two
-/// steady_clock stamps also become one complete "kernel" trace event, so
-/// the trace and the phase tally agree to rounding. Each sink is decided
-/// once at construction, so a flag flip mid-span neither drops nor
-/// half-records it; with both sinks off the cost is two relaxed loads.
+/// RAII phase timer against the calling thread's PhaseTally (the
+/// measurement half of the attribution layer). Given a `span_name`, the
+/// same two steady_clock stamps also become one complete "kernel" trace
+/// event, so the trace and the phase tally agree to rounding. Each sink
+/// is decided once at construction, so a flag flip mid-span neither drops
+/// nor half-records it; with both sinks off the cost is two relaxed
+/// loads.
 ///
 /// Enabled cost per span, measured single-threaded with an empty body on
 /// a shared 4-vCPU Xeon VM: metrics and trace 115-165 ns, metrics only
 /// 105-140 ns, trace only 75-105 ns (630-1000, 540-860 and 90-130 ns
 /// when every span read the thread-CPU clock twice and the trace took
-/// its own stamps); off 1-2 ns. It is two steady_clock reads, relaxed
-/// fetch_adds on the thread's own shard, one uncontended shard lock for
-/// the trace event, and on one span in `cpu_sample_period` two
-/// thread-CPU clock reads. Where no thread-CPU clock exists the sampled
+/// its own stamps); off 1-2 ns. It is two steady_clock reads, plain adds
+/// to the thread's own tally, one uncontended shard lock for the trace
+/// event, and on one span in `cpu_sample_period` two thread-CPU clock
+/// reads. Where no thread-CPU clock exists the sampled
 /// spans record their wall time on both axes.
 class PhaseTimer {
 public:
@@ -165,8 +166,8 @@ private:
 
 /// Phase-kind form of traced(): the span is still emitted under `name`
 /// for the trace timeline, and the elapsed time is additionally tallied
-/// under `phase` in the global PhaseAccumulator so the attribution layer
-/// can join it with the work ledger. Both come from one pair of wall
+/// under `phase` in the calling thread's PhaseTally so the attribution
+/// layer can join it with the work ledger. Both come from one pair of wall
 /// stamps (see PhaseTimer). All solver-kernel spans use this form since
 /// the attribution PR.
 template <typename F>

@@ -70,8 +70,6 @@ void CollisionOperator::set_background(const PlasmaState& state,
     }
 }
 
-void CollisionOperator::clear_background() { screen_.clear(); }
-
 void CollisionOperator::blend_background(const std::vector<real_type>& other,
                                          real_type weight)
 {

@@ -57,9 +57,6 @@ public:
     void set_background(const PlasmaState& state,
                         ConstVecView<real_type> f);
 
-    /// Resets the background screening to 1.
-    void clear_background();
-
     /// Raw shell-screening table computed by set_background (one factor
     /// per speed shell; empty if unset).
     const std::vector<real_type>& background_table() const

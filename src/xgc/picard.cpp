@@ -158,16 +158,7 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
                 fails[c] += counts[c];
             }
         }
-        m.add_named("xgc.fail.max_iters",
-                    fails[static_cast<int>(FailureClass::max_iters)]);
-        m.add_named("xgc.fail.breakdown_rho",
-                    fails[static_cast<int>(FailureClass::breakdown_rho)]);
-        m.add_named("xgc.fail.breakdown_omega",
-                    fails[static_cast<int>(FailureClass::breakdown_omega)]);
-        m.add_named("xgc.fail.stagnated",
-                    fails[static_cast<int>(FailureClass::stagnated)]);
-        m.add_named("xgc.fail.non_finite",
-                    fails[static_cast<int>(FailureClass::non_finite)]);
+        record_failure_counts(m, "xgc", fails);
     }
     return report;
 }

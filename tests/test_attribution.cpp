@@ -515,13 +515,14 @@ TEST(ProfileWindow, ExportGaugesAndReset)
 }
 
 // ---------------------------------------------------------------------
-// Phase timer wiring: obs::traced(Phase, ...) feeds phase_times().
+// Phase timer wiring: obs::traced(Phase, ...) feeds the calling thread's
+// tally.
 // ---------------------------------------------------------------------
 
 TEST(PhaseTimer, TracedPhaseOverloadAccumulates)
 {
     obs::set_metrics_enabled(true);
-    const auto before = obs::phase_times().totals();
+    const auto before = obs::thread_phase_tally().totals();
     const int value = obs::traced(obs::Phase::spmv, "spmv", [] {
         volatile double acc = 0;
         for (int i = 0; i < 1000; ++i) {
@@ -531,7 +532,7 @@ TEST(PhaseTimer, TracedPhaseOverloadAccumulates)
     });
     obs::set_metrics_enabled(false);
     EXPECT_EQ(value, 42);
-    const auto delta = obs::phase_times().totals() - before;
+    const auto delta = obs::thread_phase_tally().totals() - before;
     EXPECT_EQ(delta.calls[static_cast<int>(obs::Phase::spmv)], 1);
     EXPECT_GT(delta.seconds[static_cast<int>(obs::Phase::spmv)], 0.0);
     EXPECT_EQ(delta.calls[static_cast<int>(obs::Phase::update)], 0);
@@ -540,9 +541,9 @@ TEST(PhaseTimer, TracedPhaseOverloadAccumulates)
 TEST(PhaseTimer, DisabledRecordsNothing)
 {
     obs::set_metrics_enabled(false);
-    const auto before = obs::phase_times().totals();
+    const auto before = obs::thread_phase_tally().totals();
     obs::traced(obs::Phase::update, "update", [] { return 0; });
-    const auto delta = obs::phase_times().totals() - before;
+    const auto delta = obs::thread_phase_tally().totals() - before;
     EXPECT_EQ(delta.calls[static_cast<int>(obs::Phase::update)], 0);
 }
 
@@ -558,12 +559,12 @@ void busy_work()
 TEST(PhaseTimer, CpuEstimatorExactForOneSampledSpan)
 {
     constexpr int p = static_cast<int>(obs::Phase::reduction);
-    // reset() restarts every thread's sample pattern at its next span.
-    obs::phase_times().reset();
+    // reset() restarts the thread's sample pattern at its next span.
+    obs::thread_phase_tally().reset();
     obs::set_metrics_enabled(true);
     obs::traced(obs::Phase::reduction, "reduction", busy_work);
     obs::set_metrics_enabled(false);
-    const auto delta = obs::phase_times().totals();
+    const auto delta = obs::thread_phase_tally().totals();
     // The first span of a phase on a thread is always sampled, so the
     // estimate is that span's own thread-CPU time.
     EXPECT_EQ(delta.calls[p], 1);
@@ -575,7 +576,7 @@ TEST(PhaseTimer, CpuEstimatorExactForOneSampledSpan)
 TEST(PhaseTimer, CpuEstimatorScalesSampleToAllCalls)
 {
     constexpr int p = static_cast<int>(obs::Phase::reduction);
-    obs::phase_times().reset();
+    obs::thread_phase_tally().reset();
     obs::set_metrics_enabled(true);
     const auto cpu_start = obs::thread_cpu_ns();
     for (int i = 0; i < 100; ++i) {
@@ -583,7 +584,7 @@ TEST(PhaseTimer, CpuEstimatorScalesSampleToAllCalls)
     }
     const double loop_cpu = 1e-9 * (obs::thread_cpu_ns() - cpu_start);
     obs::set_metrics_enabled(false);
-    const auto delta = obs::phase_times().totals();
+    const auto delta = obs::thread_phase_tally().totals();
     EXPECT_EQ(delta.calls[p], 100);
     // Spans 0, 16, ..., 96 read the thread-CPU clock.
     EXPECT_EQ(delta.sampled_calls[p],
@@ -626,7 +627,7 @@ protected:
         obs::trace().clear();
         obs::trace().set_shard_capacity(1u << 20);
         obs::metrics().reset_values();
-        obs::phase_times().reset();
+        obs::thread_phase_tally().reset();
         obs::profile_window().reset();
     }
 
@@ -799,11 +800,10 @@ TEST_F(AttributionEndToEnd, KernelSpansShareThePhaseTimerStamps)
     auto p = make_problem(16);
     obs::set_metrics_enabled(true);
     obs::set_trace_enabled(true);
-    const auto before = obs::phase_times().totals();
     SolverSettings settings;
     BatchVector<real_type> x(p.a.num_batch(), p.a.rows());
     const auto result = solve_batch(p.a, p.b, x, settings);
-    const auto delta = obs::phase_times().totals() - before;
+    const auto& delta = result.phases;
     obs::set_metrics_enabled(false);
     obs::set_trace_enabled(false);
     ASSERT_TRUE(result.log.all_converged());
@@ -825,6 +825,58 @@ TEST_F(AttributionEndToEnd, KernelSpansShareThePhaseTimerStamps)
     EXPECT_GT(delta.seconds[spmv], 0.0);
     EXPECT_NEAR(1e-6 * traced_us, delta.seconds[spmv],
                 1e-9 * delta.seconds[spmv]);
+}
+
+TEST_F(AttributionEndToEnd, ConcurrentSolvesReportTheirOwnPhaseTotals)
+{
+    // A solve's phase totals count its own spans only, even while another
+    // solve records spans on other threads. Span counts are deterministic,
+    // so they must match a solo run of the same batch exactly.
+    auto small = make_problem(8);
+    auto big = make_problem_big(400);
+    SolverSettings settings;
+    obs::set_metrics_enabled(true);
+    BatchVector<real_type> x_solo(small.a.num_batch(), small.a.rows());
+    const auto solo = solve_batch(small.a, small.b, x_solo, settings);
+    ASSERT_TRUE(solo.log.all_converged());
+    ASSERT_GT(solo.phases.calls[static_cast<int>(obs::Phase::spmv)], 0);
+
+    constexpr int reps = 3;
+    std::vector<BatchSolveResult> results(reps);
+    std::atomic<bool> big_warm{false};
+    std::atomic<bool> small_done{false};
+    // Keeps solving the big batch until the small solves have returned.
+    // They start once its first solve is done, so they overlap a warm
+    // solve rather than its first-call set-up.
+    std::thread background([&] {
+        BatchVector<real_type> x(big.a.num_batch(), big.a.rows());
+        do {
+            solve_batch(big.a, big.b, x, settings);
+            big_warm = true;
+        } while (!small_done);
+    });
+    std::thread foreground([&] {
+        while (!big_warm) {
+            std::this_thread::yield();
+        }
+        BatchVector<real_type> x(small.a.num_batch(), small.a.rows());
+        for (auto& result : results) {
+            result = solve_batch(small.a, small.b, x, settings);
+        }
+        small_done = true;
+    });
+    foreground.join();
+    background.join();
+    obs::set_metrics_enabled(false);
+    for (int rep = 0; rep < reps; ++rep) {
+        const auto& result = results[static_cast<std::size_t>(rep)];
+        EXPECT_TRUE(result.log.all_converged());
+        for (int p = 0; p < obs::phase_count; ++p) {
+            EXPECT_EQ(result.phases.calls[p], solo.phases.calls[p])
+                << obs::phase_name(static_cast<obs::Phase>(p)) << ", rep "
+                << rep;
+        }
+    }
 }
 
 TEST_F(AttributionEndToEnd, MidSolveTelemetryFlipLeavesResultsBitwiseEqual)

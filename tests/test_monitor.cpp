@@ -638,7 +638,7 @@ TEST_F(MonitorIntegrationTest, TraceBufferSettingDropsSpansButStaysValid)
     obs::set_trace_enabled(true);
     auto p = make_problem(6);
     SolverSettings settings;
-    settings.trace_shard_capacity = 4;  // far below the spans of a solve
+    obs::trace().set_shard_capacity(4);  // far below the spans of a solve
     BatchVector<real_type> x(p.a.num_batch(), p.a.rows());
     const auto result = solve_batch(p.a, p.b, x, settings);
     EXPECT_TRUE(result.log.all_converged());
