@@ -91,9 +91,10 @@ echo "== lockstep test tier =="
 ctest --test-dir "$BUILD_DIR" -L lockstep --output-on-failure
 
 # xgc: the collision proxy app -- grid, Maxwellians and moments, the
-# collision operator, batch assembly (foreign shapes rejected before any
-# write, concurrent calls, values independent of the thread count) and
-# the Picard step.
+# collision operator (its face kernel against a per-face reference, one
+# operator shared by threads), batch assembly (foreign shapes rejected
+# before any write, concurrent calls, values independent of the thread
+# count) and the Picard step.
 echo "== xgc test tier =="
 ctest --test-dir "$BUILD_DIR" -L xgc --output-on-failure
 
@@ -110,8 +111,9 @@ ctest --test-dir "$BUILD_DIR" -L perf --output-on-failure
 # any region with more than one thread; the tier therefore runs one OpenMP
 # thread, and the races it can see are those between the tests' own
 # std::threads (concurrent solves, registry recording, trace clearing,
-# concurrent batch assembly). Any ThreadSanitizer report makes the test
-# binary exit 66 and fails the tier.
+# concurrent batch assembly, one collision operator shared by threads).
+# Any ThreadSanitizer report makes the test binary exit 66 and fails the
+# tier.
 echo "== thread sanitizer tier =="
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S . -DBSIS_BUILD_BENCH=OFF -DBSIS_BUILD_EXAMPLES=OFF \
@@ -140,7 +142,8 @@ tsan_run() {
 tsan_run test_attribution \
     'AttributionEndToEnd.ConcurrentSolvesReportTheirOwnPhaseTotals' 1
 tsan_run test_obs 'Metrics.ShardedRecordingMergesExactlyAcrossThreads:Metrics.GaugeMergeKeepsTheLatestWriteAcrossShards:Trace.ClearWhileOtherThreadsRecord' 3
-tsan_run test_xgc 'Workload.ConcurrentAssemblyMatchesSerial' 1
+tsan_run test_xgc \
+    'Workload.ConcurrentAssemblyMatchesSerial:CollisionOperator.SharedOperatorAssemblesConcurrently' 2
 
 echo "== sanitized examples =="
 for example in quickstart solver_comparison device_comparison; do

@@ -1,6 +1,7 @@
 #include "xgc/collision_operator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -8,6 +9,20 @@
 #include "util/error.hpp"
 
 namespace bsis::xgc {
+namespace {
+
+/// Upper end of the normalized-speed range the screening shells cover.
+constexpr real_type screen_max = 8.0;
+
+/// Position of each stencil neighbour in a row of the slot map, by compass
+/// direction (east = +v_par, north = +v_perp): 3 * (dj + 1) + (di + 1).
+enum Neighbour : int {
+    south_west, south, south_east,
+    west, centre, east,
+    north_west, north, north_east
+};
+
+}  // namespace
 
 CollisionOperator::CollisionOperator(const VelocityGrid& grid,
                                      SpeciesParams species)
@@ -15,122 +30,93 @@ CollisionOperator::CollisionOperator(const VelocityGrid& grid,
       species_(std::move(species)),
       pattern_(make_stencil_pattern(grid.n_vpar(), grid.n_vperp(),
                                     StencilKind::nine_point)),
-      scratch_(pattern_.col_idxs.size(), 0.0)
-{}
-
-void CollisionOperator::add(index_type row, index_type col,
-                            real_type coeff) const
+      slots_(9 * static_cast<std::size_t>(pattern_.rows()), -1)
 {
-    for (index_type p = pattern_.row_ptrs[row];
-         p < pattern_.row_ptrs[row + 1]; ++p) {
-        if (pattern_.col_idxs[p] == col) {
-            scratch_[static_cast<std::size_t>(p)] += coeff;
-            return;
+    const index_type nx = grid_.n_vpar();
+    const index_type ny = grid_.n_vperp();
+    const auto cols = pattern_.col_idxs.begin();
+    for (index_type j = 0; j < ny; ++j) {
+        for (index_type i = 0; i < nx; ++i) {
+            const index_type row = grid_.row(i, j);
+            const auto first = cols + pattern_.row_ptrs[row];
+            const auto last = cols + pattern_.row_ptrs[row + 1];
+            for (index_type dj = -1; dj <= 1; ++dj) {
+                for (index_type di = -1; di <= 1; ++di) {
+                    if (i + di < 0 || i + di >= nx || j + dj < 0 ||
+                        j + dj >= ny) {
+                        continue;
+                    }
+                    const auto hit =
+                        std::find(first, last, grid_.row(i + di, j + dj));
+                    if (hit == last) {
+                        throw Error(
+                            "CollisionOperator: coefficient outside 9-point "
+                            "stencil");
+                    }
+                    slots_[static_cast<std::size_t>(9 * row + 3 * (dj + 1) +
+                                                    di + 1)] =
+                        static_cast<index_type>(hit - cols);
+                }
+            }
         }
     }
-    throw Error("CollisionOperator: coefficient outside 9-point stencil");
 }
 
-void CollisionOperator::set_background(const PlasmaState& state,
-                                       ConstVecView<real_type> f)
+std::vector<real_type> CollisionOperator::set_background(
+    const PlasmaState& state, ConstVecView<real_type> f) const
 {
     BSIS_ENSURE_DIMS(f.len == grid_.rows(), "distribution size mismatch");
-    constexpr int num_shells = 48;
-    std::vector<real_type> actual(num_shells, 0.0);
-    std::vector<real_type> reference(num_shells, 0.0);
+    const index_type nx = grid_.n_vpar();
+    std::array<real_type, num_shells> actual{};
+    std::array<real_type, num_shells> reference{};
 
     const real_type t = std::max(state.temperature, real_type{1e-12});
     const real_type vth = std::sqrt(t);
     const real_type maxw_norm =
         state.density /
         std::pow(2 * std::numbers::pi_v<real_type> * t, real_type{1.5});
+    // The reference Maxwellian factors as exp(-w1^2 / 2t) exp(-w2^2 / 2t).
+    std::vector<real_type> maxw_par(static_cast<std::size_t>(nx));
+    for (index_type i = 0; i < nx; ++i) {
+        const real_type w1 = grid_.vpar(i) - state.u_par;
+        maxw_par[static_cast<std::size_t>(i)] = std::exp(-(w1 * w1) / (2 * t));
+    }
     for (index_type j = 0; j < grid_.n_vperp(); ++j) {
         const real_type vol = grid_.cell_volume(j);
         const real_type w2 = grid_.vperp(j);
-        for (index_type i = 0; i < grid_.n_vpar(); ++i) {
+        const real_type maxw_perp =
+            maxw_norm * std::exp(-(w2 * w2) / (2 * t));
+        for (index_type i = 0; i < nx; ++i) {
             const real_type w1 = grid_.vpar(i) - state.u_par;
             const real_type wbar = std::sqrt(w1 * w1 + w2 * w2) / vth;
-            int shell = static_cast<int>(wbar / screen_max_ * num_shells);
+            int shell = static_cast<int>(wbar / screen_max * num_shells);
             shell = std::min(shell, num_shells - 1);
-            const real_type maxw =
-                maxw_norm * std::exp(-(w1 * w1 + w2 * w2) / (2 * t));
             actual[static_cast<std::size_t>(shell)] +=
                 f[grid_.row(i, j)] * vol;
-            reference[static_cast<std::size_t>(shell)] += maxw * vol;
+            reference[static_cast<std::size_t>(shell)] +=
+                maxw_perp * maxw_par[static_cast<std::size_t>(i)] * vol;
         }
     }
-    screen_.assign(num_shells, real_type{1});
-    for (int s = 0; s < num_shells; ++s) {
-        if (reference[static_cast<std::size_t>(s)] > real_type{1e-14}) {
-            screen_[static_cast<std::size_t>(s)] =
-                std::clamp(actual[static_cast<std::size_t>(s)] /
-                               reference[static_cast<std::size_t>(s)],
-                           real_type{0.2}, real_type{5.0});
+    std::vector<real_type> table(num_shells, real_type{1});
+    for (std::size_t s = 0; s < table.size(); ++s) {
+        if (reference[s] > real_type{1e-14}) {
+            table[s] = std::clamp(actual[s] / reference[s], real_type{0.2},
+                                  real_type{5.0});
         }
     }
-}
-
-void CollisionOperator::blend_background(const std::vector<real_type>& other,
-                                         real_type weight)
-{
-    BSIS_ENSURE_DIMS(other.size() == screen_.size(),
-                     "screening tables must match");
-    for (std::size_t s = 0; s < screen_.size(); ++s) {
-        screen_[s] = (1 - weight) * screen_[s] + weight * other[s];
-    }
-}
-
-real_type CollisionOperator::screening(real_type wbar) const
-{
-    if (screen_.empty()) {
-        return 1;
-    }
-    const auto n = static_cast<int>(screen_.size());
-    const real_type pos =
-        std::clamp(wbar / screen_max_ * n - real_type{0.5}, real_type{0},
-                   static_cast<real_type>(n - 1));
-    const int lo = static_cast<int>(pos);
-    const int hi = std::min(lo + 1, n - 1);
-    const real_type frac = pos - lo;
-    const real_type kappa =
-        (1 - frac) * screen_[static_cast<std::size_t>(lo)] +
-        frac * screen_[static_cast<std::size_t>(hi)];
-    // Modulate with the species' screening strength.
-    return 1 + species_.screening_strength * (kappa - 1);
-}
-
-void CollisionOperator::tensor(const PlasmaState& state, real_type vpar,
-                               real_type vperp, real_type& d11,
-                               real_type& d12, real_type& d22) const
-{
-    const real_type t2 = state.temperature;
-    const real_type w1 = vpar - state.u_par;
-    const real_type w2 = vperp;
-    const real_type w_sq = w1 * w1 + w2 * w2;
-    if (w_sq < real_type{1e-12}) {
-        d11 = d22 = t2;
-        d12 = 0;
-        return;
-    }
-    const real_type wbar = std::sqrt(w_sq / t2);
-    // Speed-dependent parallel/perpendicular diffusion (Rosenbluth-like):
-    // both decay at high speed, the perpendicular one more slowly --
-    // exactly the anisotropy that produces the mixed-derivative terms.
-    const real_type denom = 1 + wbar * wbar * wbar / 3;
-    const real_type screen = screening(wbar);
-    const real_type phi_par = screen * t2 / denom;
-    const real_type phi_perp =
-        screen * t2 * (1 + wbar * wbar / 4) / denom;
-    const real_type diff = phi_par - phi_perp;
-    d11 = phi_perp + diff * (w1 * w1) / w_sq;
-    d22 = phi_perp + diff * (w2 * w2) / w_sq;
-    d12 = diff * (w1 * w2) / w_sq;
+    return table;
 }
 
 void CollisionOperator::accumulate(const PlasmaState& state,
-                                   real_type scale) const
+                                   const std::vector<real_type>& screening,
+                                   real_type* values) const
 {
-    std::fill(scratch_.begin(), scratch_.end(), real_type{0});
+    BSIS_ENSURE_DIMS(screening.empty() ||
+                         screening.size() ==
+                             static_cast<std::size_t>(num_shells),
+                     "screening table must be empty or have num_shells "
+                     "entries");
+    std::fill(values, values + pattern_.col_idxs.size(), real_type{0});
     const index_type nx = grid_.n_vpar();
     const index_type ny = grid_.n_vperp();
     const real_type d1 = grid_.dvpar();
@@ -141,7 +127,13 @@ void CollisionOperator::accumulate(const PlasmaState& state,
     const real_type nu = species_.collision_rate *
                          (state.density / species_.reference_density) /
                          std::pow(t2, real_type{1.5});
-    const real_type k = scale * nu;
+    // Divisions hoisted out of the face loops: a face itself divides only
+    // by 1 + wbar^3 / 3 and by |w|^2, and a v_perp grid line by its two
+    // cell radii.
+    const real_type inv_t2 = 1 / t2;
+    const real_type k11 = nu / (d1 * d1);
+    const real_type k22 = nu / (d2 * d2);
+    const real_type k12 = nu / (4 * d1 * d2);
 
     // Maxwellian-weighted (Chang-Cooper-type) form of the bracket:
     //   a f + grad f  =  M grad(f / M),   M = exp(-|v - u|^2 / 2T),
@@ -149,55 +141,135 @@ void CollisionOperator::accumulate(const PlasmaState& state,
     // Maxwellian of the iterate's moments is then an EXACT discrete
     // stationary state, which keeps the moment drift of the implicit
     // solve second order in the deviation from equilibrium.
-    const auto log_m = [&](real_type vpar, real_type vperp) {
+    //
+    // log M = P(v_par) + Q(v_perp), so every M_face / M_cell ratio a face
+    // needs is a product of ratios of neighbouring points on one axis.
+    // Each table entry is the exp of a difference of neighbours, so it
+    // stays as far from under- and overflow as the per-face ratio.
+    const real_type half_inv_t2 = real_type{0.5} * inv_t2;
+    const auto p = [&](real_type vpar) {
         const real_type w1 = vpar - state.u_par;
-        return -(w1 * w1 + vperp * vperp) / (2 * t2);
+        return -(w1 * w1) * half_inv_t2;
     };
-    // M_face / M_cell evaluated stably in log space.
-    const auto ratio = [&](real_type log_m_face, real_type log_m_cell) {
-        return std::exp(log_m_face - log_m_cell);
+    const auto q = [&](real_type vperp) {
+        return -(vperp * vperp) * half_inv_t2;
     };
+    std::vector<real_type> work(static_cast<std::size_t>(6 * nx + 4 * ny));
+    // v_par face i+1/2 over its cells i and i+1; cell i over cells i+1
+    // and i-1.
+    real_type* par_face_lo = work.data();
+    real_type* par_face_hi = par_face_lo + nx;
+    real_type* par_next = par_face_hi + nx;
+    real_type* par_prev = par_next + nx;
+    // The same along v_perp (face j+1/2 lies between cells j and j+1).
+    real_type* perp_face_lo = par_prev + nx;
+    real_type* perp_face_hi = perp_face_lo + ny;
+    real_type* perp_next = perp_face_hi + ny;
+    real_type* perp_prev = perp_next + ny;
+    // Tensor entries of one grid line of faces: the normal diagonal entry
+    // (d11 on v_par faces, d22 on v_perp faces) and d12.
+    real_type* d_nn = perp_prev + ny;
+    real_type* d_12 = d_nn + nx;
+    for (index_type i = 0; i + 1 < nx; ++i) {
+        const real_type pc = p(grid_.vpar(i));
+        const real_type pn = p(grid_.vpar(i + 1));
+        const real_type pf = p(grid_.vpar(i) + d1 / 2);
+        par_face_lo[i] = std::exp(pf - pc);
+        par_face_hi[i] = std::exp(pf - pn);
+        par_next[i] = std::exp(pc - pn);
+        par_prev[i + 1] = std::exp(pn - pc);
+    }
+    for (index_type j = 0; j + 1 < ny; ++j) {
+        const real_type qc = q(grid_.vperp(j));
+        const real_type qn = q(grid_.vperp(j + 1));
+        const real_type qf = q(grid_.vperp_face(j + 1));
+        perp_face_lo[j] = std::exp(qf - qc);
+        perp_face_hi[j] = std::exp(qf - qn);
+        perp_next[j] = std::exp(qc - qn);
+        perp_prev[j + 1] = std::exp(qn - qc);
+    }
+
+    // Anisotropic diffusion tensor at drift-frame velocity (w1, w2), where
+    // w_normal is the component along the face normal. Speed-dependent
+    // parallel/perpendicular diffusion (Rosenbluth-like): both decay at
+    // high speed, the perpendicular one more slowly -- exactly the
+    // anisotropy that produces the mixed-derivative terms. The rates are
+    // scaled by the shell screening interpolated at the normalized speed,
+    // modulated with the species' screening strength.
+    const bool screened = !screening.empty();
+    const real_type strength = species_.screening_strength;
+    const auto tensor = [&](real_type w1, real_type w2, real_type w_normal,
+                            real_type& dnn, real_type& d12) {
+        const real_type w_sq = w1 * w1 + w2 * w2;
+        if (w_sq < real_type{1e-12}) {
+            dnn = t2;
+            d12 = 0;
+            return;
+        }
+        const real_type wbar = std::sqrt(w_sq * inv_t2);
+        real_type screen = 1;
+        if (screened) {
+            const real_type pos = std::clamp(
+                wbar * (num_shells / screen_max) - real_type{0.5},
+                real_type{0}, real_type{num_shells - 1});
+            const int lo = static_cast<int>(pos);
+            const int hi = std::min(lo + 1, num_shells - 1);
+            const real_type frac = pos - lo;
+            const real_type kappa =
+                (1 - frac) * screening[static_cast<std::size_t>(lo)] +
+                frac * screening[static_cast<std::size_t>(hi)];
+            screen = 1 + strength * (kappa - 1);
+        }
+        const real_type phi_par =
+            screen * t2 / (1 + wbar * wbar * wbar * (real_type{1} / 3));
+        const real_type phi_perp = phi_par * (1 + wbar * wbar / 4);
+        const real_type diff_per_wsq = (phi_par - phi_perp) / w_sq;
+        dnn = phi_perp + diff_per_wsq * (w_normal * w_normal);
+        d12 = diff_per_wsq * (w1 * w2);
+    };
+
+    // Each face adds +coeff to the row on its low side and -coeff to the
+    // row on its high side, for each column it couples. Faces run grid
+    // line by grid line, v_par faces first, so every slot sums its
+    // contributions in a fixed order.
 
     // --- v_par faces (between (i, j) and (i+1, j)) ---
     for (index_type j = 0; j < ny; ++j) {
-        const real_type vperp_c = grid_.vperp(j);
+        const real_type w2 = grid_.vperp(j);
         for (index_type i = 0; i + 1 < nx; ++i) {
-            const real_type vpar_f = grid_.vpar(i) + d1 / 2;
-            real_type d11;
-            real_type d12;
-            real_type d22;
-            tensor(state, vpar_f, vperp_c, d11, d12, d22);
-            const real_type lmf = log_m(vpar_f, vperp_c);
-
-            const index_type left = grid_.row(i, j);
-            const index_type right = grid_.row(i + 1, j);
-            // Flux coefficient on a distribution value `col` contributes
-            // +c/d1 to the left row and -c/d1 to the right row.
-            const auto flux = [&](index_type col, real_type coeff) {
-                add(left, col, k * coeff / d1);
-                add(right, col, -k * coeff / d1);
-            };
+            const real_type w1 = grid_.vpar(i) + d1 / 2 - state.u_par;
+            tensor(w1, w2, w1, d_nn[i], d_12[i]);
+        }
+        // The mixed bracket d12 * M_f * d(f/M)/d v_perp is dropped on
+        // faces adjacent to the v_perp boundary (one-sided stencils would
+        // leave the 9-point pattern).
+        const bool mixed = j > 0 && j + 1 < ny;
+        for (index_type i = 0; i + 1 < nx; ++i) {
+            const index_type* lo = &slots_[static_cast<std::size_t>(
+                9 * grid_.row(i, j))];
+            const index_type* hi = lo + 9;
             // d11 * M_f * ((f/M)_R - (f/M)_L) / d1
-            flux(left, -d11 * ratio(lmf, log_m(grid_.vpar(i), vperp_c)) /
-                           d1);
-            flux(right,
-                 d11 * ratio(lmf, log_m(grid_.vpar(i + 1), vperp_c)) / d1);
-            // d12 * M_f * d(f/M)/d vperp at the face; the mixed bracket is
-            // dropped on faces adjacent to the vperp boundary (one-sided
-            // stencils would leave the 9-point pattern).
-            if (j > 0 && j + 1 < ny) {
-                const real_type c4 = d12 / (4 * d2);
-                const auto mixed = [&](index_type ii, index_type jj,
-                                       real_type sign) {
-                    flux(grid_.row(ii, jj),
-                         sign * c4 *
-                             ratio(lmf, log_m(grid_.vpar(ii),
-                                              grid_.vperp(jj))));
-                };
-                mixed(i, j + 1, 1);
-                mixed(i + 1, j + 1, 1);
-                mixed(i, j - 1, -1);
-                mixed(i + 1, j - 1, -1);
+            const real_type a = k11 * d_nn[i];
+            const real_type on_lo = a * par_face_lo[i];
+            const real_type on_hi = a * par_face_hi[i];
+            values[lo[centre]] -= on_lo;
+            values[hi[west]] += on_lo;
+            values[lo[east]] += on_hi;
+            values[hi[centre]] -= on_hi;
+            if (mixed) {
+                const real_type b = k12 * d_12[i];
+                const real_type up_lo = b * par_face_lo[i] * perp_next[j];
+                const real_type up_hi = b * par_face_hi[i] * perp_next[j];
+                const real_type down_lo = b * par_face_lo[i] * perp_prev[j];
+                const real_type down_hi = b * par_face_hi[i] * perp_prev[j];
+                values[lo[north]] += up_lo;
+                values[hi[north_west]] -= up_lo;
+                values[lo[north_east]] += up_hi;
+                values[hi[north]] -= up_hi;
+                values[lo[south]] -= down_lo;
+                values[hi[south_west]] += down_lo;
+                values[lo[south_east]] -= down_hi;
+                values[hi[south]] += down_hi;
             }
         }
     }
@@ -205,77 +277,84 @@ void CollisionOperator::accumulate(const PlasmaState& state,
     // --- v_perp faces (between (i, j) and (i, j+1)) ---
     for (index_type j = 0; j + 1 < ny; ++j) {
         const real_type vperp_f = grid_.vperp_face(j + 1);
-        const real_type jac_b = grid_.vperp(j);
-        const real_type jac_t = grid_.vperp(j + 1);
         for (index_type i = 0; i < nx; ++i) {
-            const real_type vpar_c = grid_.vpar(i);
-            real_type d11;
-            real_type d12;
-            real_type d22;
-            tensor(state, vpar_c, vperp_f, d11, d12, d22);
-            const real_type lmf = log_m(vpar_c, vperp_f);
-
-            const index_type bottom = grid_.row(i, j);
-            const index_type top = grid_.row(i, j + 1);
-            // Cylindrical metric: flux weighted by the face radius and
-            // divided by each cell's center radius.
-            const auto flux = [&](index_type col, real_type coeff) {
-                add(bottom, col, k * coeff * vperp_f / (jac_b * d2));
-                add(top, col, -k * coeff * vperp_f / (jac_t * d2));
-            };
+            tensor(grid_.vpar(i) - state.u_par, vperp_f, vperp_f, d_nn[i],
+                   d_12[i]);
+        }
+        // Cylindrical metric: flux weighted by the face radius and divided
+        // by each cell's center radius.
+        const real_type metric_lo = vperp_f / grid_.vperp(j);
+        const real_type metric_hi = vperp_f / grid_.vperp(j + 1);
+        const real_type a_lo = k22 * metric_lo;
+        const real_type a_hi = k22 * metric_hi;
+        const real_type b_lo = k12 * metric_lo;
+        const real_type b_hi = k12 * metric_hi;
+        for (index_type i = 0; i < nx; ++i) {
+            const index_type* lo = &slots_[static_cast<std::size_t>(
+                9 * grid_.row(i, j))];
+            const index_type* hi = lo + 9 * nx;
             // d22 * M_f * ((f/M)_T - (f/M)_B) / d2
-            flux(bottom,
-                 -d22 * ratio(lmf, log_m(vpar_c, grid_.vperp(j))) / d2);
-            flux(top,
-                 d22 * ratio(lmf, log_m(vpar_c, grid_.vperp(j + 1))) / d2);
-            // d12 * M_f * d(f/M)/d vpar at the face
+            const real_type on_lo = d_nn[i] * perp_face_lo[j];
+            const real_type on_hi = d_nn[i] * perp_face_hi[j];
+            values[lo[centre]] -= a_lo * on_lo;
+            values[hi[south]] += a_hi * on_lo;
+            values[lo[north]] += a_lo * on_hi;
+            values[hi[centre]] -= a_hi * on_hi;
+            // d12 * M_f * d(f/M)/d vpar at the face, dropped on faces
+            // adjacent to the v_par boundary.
             if (i > 0 && i + 1 < nx) {
-                const real_type c4 = d12 / (4 * d1);
-                const auto mixed = [&](index_type ii, index_type jj,
-                                       real_type sign) {
-                    flux(grid_.row(ii, jj),
-                         sign * c4 *
-                             ratio(lmf, log_m(grid_.vpar(ii),
-                                              grid_.vperp(jj))));
-                };
-                mixed(i + 1, j, 1);
-                mixed(i + 1, j + 1, 1);
-                mixed(i - 1, j, -1);
-                mixed(i - 1, j + 1, -1);
+                const real_type east_lo = d_12[i] * par_next[i] *
+                                          perp_face_lo[j];
+                const real_type east_hi = d_12[i] * par_next[i] *
+                                          perp_face_hi[j];
+                const real_type west_lo = d_12[i] * par_prev[i] *
+                                          perp_face_lo[j];
+                const real_type west_hi = d_12[i] * par_prev[i] *
+                                          perp_face_hi[j];
+                values[lo[east]] += b_lo * east_lo;
+                values[hi[south_east]] -= b_hi * east_lo;
+                values[lo[north_east]] += b_lo * east_hi;
+                values[hi[east]] -= b_hi * east_hi;
+                values[lo[west]] -= b_lo * west_lo;
+                values[hi[south_west]] += b_hi * west_lo;
+                values[lo[north_west]] -= b_lo * west_hi;
+                values[hi[west]] += b_hi * west_hi;
             }
         }
     }
 }
 
-void CollisionOperator::assemble(const PlasmaState& state, real_type dt,
-                                 real_type* values) const
+void CollisionOperator::assemble(const PlasmaState& state,
+                                 const std::vector<real_type>& screening,
+                                 real_type dt, real_type* values) const
 {
     BSIS_ENSURE_ARG(dt > 0, "time step must be positive");
-    accumulate(state, real_type{1});
+    accumulate(state, screening, values);
     const index_type rows = pattern_.rows();
     for (index_type r = 0; r < rows; ++r) {
         for (index_type p = pattern_.row_ptrs[r];
              p < pattern_.row_ptrs[r + 1]; ++p) {
             const real_type identity =
                 pattern_.col_idxs[p] == r ? real_type{1} : real_type{0};
-            values[p] =
-                identity - dt * scratch_[static_cast<std::size_t>(p)];
+            values[p] = identity - dt * values[p];
         }
     }
 }
 
 void CollisionOperator::apply(const PlasmaState& state,
+                              const std::vector<real_type>& screening,
                               ConstVecView<real_type> f,
                               VecView<real_type> out) const
 {
     BSIS_ENSURE_DIMS(f.len == grid_.rows() && out.len == grid_.rows(),
                      "distribution size mismatch");
-    accumulate(state, real_type{1});
+    std::vector<real_type> coeffs(pattern_.col_idxs.size());
+    accumulate(state, screening, coeffs.data());
     for (index_type r = 0; r < grid_.rows(); ++r) {
         real_type sum{};
         for (index_type p = pattern_.row_ptrs[r];
              p < pattern_.row_ptrs[r + 1]; ++p) {
-            sum += scratch_[static_cast<std::size_t>(p)] *
+            sum += coeffs[static_cast<std::size_t>(p)] *
                    f[pattern_.col_idxs[p]];
         }
         out[r] = sum;

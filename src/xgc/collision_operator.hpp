@@ -22,6 +22,13 @@
 //
 // Backward Euler: A f^{n+1} = f^n with A = I - dt * C(u, T). Each Picard
 // iteration re-assembles A from the current iterate's moments.
+//
+// Assembly is a face kernel that writes straight into the caller's CSR
+// values: the Maxwellian weights come from 1D ratio tables, and a slot map
+// built once from the pattern gives each face its CSR positions. The
+// operator is immutable after construction and every member function is
+// const, so one operator can be shared by any number of threads; the
+// per-iterate screening table is an argument, not state.
 #pragma once
 
 #include <vector>
@@ -37,6 +44,11 @@ namespace bsis::xgc {
 
 class CollisionOperator {
 public:
+    /// Speed shells of a screening table, over normalized speed [0, 8).
+    static constexpr int num_shells = 48;
+
+    /// Throws Error if the pattern built for `grid` is not a 9-point
+    /// stencil (a face coefficient would have no CSR slot).
     CollisionOperator(const VelocityGrid& grid, SpeciesParams species);
 
     const VelocityGrid& grid() const { return grid_; }
@@ -45,69 +57,49 @@ public:
     /// The shared 9-point CSR pattern (992 rows for the 32 x 31 grid).
     const StencilPattern& pattern() const { return pattern_; }
 
-    /// Computes the Rosenbluth-like background screening from the current
-    /// Picard iterate: the diffusion rates at normalized speed w are scaled
-    /// by the actual-to-Maxwellian mass ratio of the speed shell containing
-    /// w. This makes the operator depend on the full SHAPE of f (as the
-    /// Landau operator's Rosenbluth potentials do), not just its first
-    /// three moments -- which is what makes consecutive Picard matrices
-    /// differ and the warm-started iteration counts decay gradually
-    /// (Table III of the paper). Must be called before assemble()/apply();
-    /// without it the screening is 1 (pure Dougherty-type operator).
-    void set_background(const PlasmaState& state,
-                        ConstVecView<real_type> f);
-
-    /// Raw shell-screening table computed by set_background (one factor
-    /// per speed shell; empty if unset).
-    const std::vector<real_type>& background_table() const
-    {
-        return screen_;
-    }
-
-    /// Blends another species' screening table into this one with the
-    /// given weight (field-particle coupling). Both tables must have been
-    /// computed with set_background first.
-    void blend_background(const std::vector<real_type>& other,
-                          real_type weight);
+    /// Returns the Rosenbluth-like background screening of the current
+    /// Picard iterate `f`: one actual-to-Maxwellian mass ratio per speed
+    /// shell (num_shells entries), by which the diffusion rates at
+    /// normalized speed w are scaled. This makes the operator depend on
+    /// the full SHAPE of f (as the Landau operator's Rosenbluth potentials
+    /// do), not just its first three moments -- which is what makes
+    /// consecutive Picard matrices differ and the warm-started iteration
+    /// counts decay gradually (Table III of the paper).
+    std::vector<real_type> set_background(const PlasmaState& state,
+                                          ConstVecView<real_type> f) const;
 
     /// Assembles A = I - dt * C(u, T) into `values` (CSR value layout of
     /// pattern()). `state` carries the moments of the current Picard
-    /// iterate.
-    void assemble(const PlasmaState& state, real_type dt,
+    /// iterate; `screening` is a table from set_background (possibly
+    /// blended across species), or empty for no screening (a pure
+    /// Dougherty-type operator). Throws BadArgument unless dt > 0 and
+    /// DimensionMismatch unless `screening` is empty or has num_shells
+    /// entries.
+    void assemble(const PlasmaState& state,
+                  const std::vector<real_type>& screening, real_type dt,
                   real_type* values) const;
 
-    /// Applies the discrete collision operator C(u,T) to `f` directly
-    /// (for operator verification tests): out = C f.
-    void apply(const PlasmaState& state, ConstVecView<real_type> f,
-               VecView<real_type> out) const;
+    /// Applies the discrete collision operator C(u, T) to `f` directly
+    /// (for operator verification tests): out = C f. Runs the same kernel
+    /// as assemble() into a local buffer.
+    void apply(const PlasmaState& state,
+               const std::vector<real_type>& screening,
+               ConstVecView<real_type> f, VecView<real_type> out) const;
 
 private:
-    /// Adds `coeff * f[col]` to the operator row `row` of the assembly
-    /// scratch.
-    void add(index_type row, index_type col, real_type coeff) const;
-
-    /// Accumulates all flux contributions of C(u,T) scaled by `scale` into
-    /// the scratch (a dense-per-row stencil accumulator).
-    void accumulate(const PlasmaState& state, real_type scale) const;
-
-    /// Anisotropic diffusion tensor at velocity (vpar, vperp).
-    void tensor(const PlasmaState& state, real_type vpar, real_type vperp,
-                real_type& d11, real_type& d12, real_type& d22) const;
-
-    /// Interpolated shell-screening factor at normalized speed wbar.
-    real_type screening(real_type wbar) const;
+    /// Writes the values of C(u, T) into `values` (CSR value layout of
+    /// pattern()); every slot is overwritten.
+    void accumulate(const PlasmaState& state,
+                    const std::vector<real_type>& screening,
+                    real_type* values) const;
 
     VelocityGrid grid_;
     SpeciesParams species_;
     StencilPattern pattern_;
-    /// Shell screening table over normalized speed [0, screen_max_];
-    /// empty = no screening.
-    std::vector<real_type> screen_;
-    real_type screen_max_ = 8.0;
-    /// Scratch: one coefficient per stored nonzero. assemble() and apply()
-    /// write it, so they must not run concurrently on one instance;
-    /// CollisionWorkload::assemble_batch gives every thread its own copy.
-    mutable std::vector<real_type> scratch_;
+    /// CSR position of each row's 9 stencil neighbours: slots_[9 * row +
+    /// 3 * (dj + 1) + (di + 1)] holds the entry of column row(i + di,
+    /// j + dj); -1 where the neighbour lies outside the grid.
+    std::vector<index_type> slots_;
 };
 
 }  // namespace bsis::xgc

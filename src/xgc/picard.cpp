@@ -56,19 +56,26 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
     auto a = workload.make_matrix_batch();
 
     PicardReport report;
-    real_type f_n_norm = 0;
+    // Per-system ||f^n||^2 and the conserved targets (the pre-step
+    // invariants). Every system's work is independent and the shapes are
+    // fixed above, so nothing in these team loops throws; the squares are
+    // summed serially in system order, so f_n_norm does not depend on the
+    // thread count.
+    const auto nsys_u = static_cast<std::size_t>(nsys);
+    std::vector<real_type> f_n_squares(nsys_u);
+    std::vector<ConservedQuantities> targets(nsys_u);
+#pragma omp parallel for schedule(static)
     for (size_type sys = 0; sys < nsys; ++sys) {
-        f_n_norm += blas::dot(ConstVecView<real_type>(f_n.entry(sys)),
-                              ConstVecView<real_type>(f_n.entry(sys)));
+        const auto fv = ConstVecView<real_type>(f_n.entry(sys));
+        f_n_squares[static_cast<std::size_t>(sys)] = blas::dot(fv, fv);
+        targets[static_cast<std::size_t>(sys)] =
+            conserved(workload.grid(), fv);
+    }
+    real_type f_n_norm = 0;
+    for (const auto square : f_n_squares) {
+        f_n_norm += square;
     }
     f_n_norm = std::sqrt(f_n_norm);
-
-    // Conserved targets of every system (the pre-step invariants).
-    std::vector<ConservedQuantities> targets;
-    targets.reserve(static_cast<std::size_t>(nsys));
-    for (size_type sys = 0; sys < nsys; ++sys) {
-        targets.push_back(conserved(workload.grid(), f_n.entry(sys)));
-    }
 
     for (int k = 0; k < settings.num_iterations; ++k) {
         obs::ScopedSpan iter_span("picard_iteration", "xgc", k);
@@ -123,24 +130,21 @@ PicardReport implicit_collision_step(CollisionWorkload& workload,
     }
 
     // Conservation of the raw Picard solution, then the post-step moment
-    // fix (production XGC behavior), then the accepted-step conservation.
-    report.raw_conservation_errors.reserve(static_cast<std::size_t>(nsys));
+    // fix (production XGC behavior), then the accepted-step conservation,
+    // each system on its own on the team.
+    report.raw_conservation_errors.resize(nsys_u);
+    report.conservation_errors.resize(nsys_u);
+    const bool fix = settings.conservation_fix;
+#pragma omp parallel for schedule(static)
     for (size_type sys = 0; sys < nsys; ++sys) {
-        report.raw_conservation_errors.push_back(conservation_error(
-            targets[static_cast<std::size_t>(sys)],
-            conserved(workload.grid(), x.entry(sys))));
-    }
-    if (settings.conservation_fix) {
-        for (size_type sys = 0; sys < nsys; ++sys) {
-            moment_fix(workload.grid(), x.entry(sys),
-                       targets[static_cast<std::size_t>(sys)]);
+        const auto si = static_cast<std::size_t>(sys);
+        report.raw_conservation_errors[si] = conservation_error(
+            targets[si], conserved(workload.grid(), x.entry(sys)));
+        if (fix) {
+            moment_fix(workload.grid(), x.entry(sys), targets[si]);
         }
-    }
-    report.conservation_errors.reserve(static_cast<std::size_t>(nsys));
-    for (size_type sys = 0; sys < nsys; ++sys) {
-        const auto after = conserved(workload.grid(), x.entry(sys));
-        report.conservation_errors.push_back(conservation_error(
-            targets[static_cast<std::size_t>(sys)], after));
+        report.conservation_errors[si] = conservation_error(
+            targets[si], conserved(workload.grid(), x.entry(sys)));
     }
     workload.distributions() = x;
     if (obs::metrics_enabled()) {

@@ -28,8 +28,10 @@ struct PicardSettings {
     /// Use the previous Picard iterate as initial guess of the next
     /// linear solve (true in production; false for the Fig. 8 baseline).
     bool warm_start = true;
-    /// Optional early exit: stop when the relative change of the iterate
-    /// drops below this (0 = always run num_iterations).
+    /// Optional early exit: stop when the relative true nonlinear residual
+    /// ||f^n - A(x) x|| / ||f^n|| of the current iterate x drops below
+    /// this, checked from the second Picard iteration on (0 = always run
+    /// num_iterations).
     real_type nonlinear_tol = 0.0;
     /// Apply the XGC-style moment-fixing correction once after the Picard
     /// loop, pinning density/momentum/energy of the accepted step to the

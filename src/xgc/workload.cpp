@@ -3,7 +3,6 @@
 #include <cmath>
 #include <exception>
 
-#include "core/lockstep.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -101,13 +100,9 @@ void CollisionWorkload::assemble_batch(const BatchVector<real_type>& iterate,
                      "iterate length mismatch");
     BSIS_ENSURE_ARG(dt > 0, "time step must be positive");
 
-    // set_background, blend_background and assemble write the operator's
-    // screening table and scratch, so every thread assembles through its
-    // own copy of the operators. Each node installs its own screening
-    // before assembling, so the values do not depend on which thread or
-    // copy takes the node.
-    std::vector<std::vector<CollisionOperator>> thread_operators(
-        static_cast<std::size_t>(lockstep::max_threads()), operators_);
+    // The operators are immutable, so every thread shares operators_; a
+    // node's screening tables are local to its iteration, so the values
+    // do not depend on which thread takes the node.
     const size_type ns = num_species();
     // Exceptions cannot unwind through an OpenMP region: capture the
     // first one and rethrow it after the loop.
@@ -115,8 +110,6 @@ void CollisionWorkload::assemble_batch(const BatchVector<real_type>& iterate,
 #pragma omp parallel for schedule(dynamic)
     for (size_type node = 0; node < num_mesh_nodes(); ++node) {
         try {
-            auto& operators = thread_operators[static_cast<std::size_t>(
-                lockstep::this_thread())];
             std::vector<PlasmaState> states(static_cast<std::size_t>(ns));
             std::vector<std::vector<real_type>> tables(
                 static_cast<std::size_t>(ns));
@@ -124,39 +117,33 @@ void CollisionWorkload::assemble_batch(const BatchVector<real_type>& iterate,
             // screening from each iterate's shape.
             for (size_type s = 0; s < ns; ++s) {
                 const size_type sys = node * ns + s;
-                states[static_cast<std::size_t>(s)] =
-                    system_moments(anchor, sys);
-                operators[static_cast<std::size_t>(s)].set_background(
-                    states[static_cast<std::size_t>(s)], iterate.entry(sys));
-                tables[static_cast<std::size_t>(s)] =
-                    operators[static_cast<std::size_t>(s)]
-                        .background_table();
+                const auto si = static_cast<std::size_t>(s);
+                states[si] = system_moments(anchor, sys);
+                tables[si] = operators_[si].set_background(
+                    states[si], iterate.entry(sys));
             }
             // ...then the field-particle coupling to the other species of
-            // the same mesh node, and the assembly.
+            // the same mesh node: blend in the mean of their screenings
+            // with weight w. Then the assembly.
             for (size_type s = 0; s < ns; ++s) {
-                auto& op = operators[static_cast<std::size_t>(s)];
-                const real_type w = species_[static_cast<std::size_t>(s)]
-                                        .cross_species_weight;
+                const auto si = static_cast<std::size_t>(s);
+                std::vector<real_type> screening = tables[si];
+                const real_type w = species_[si].cross_species_weight;
                 if (ns >= 2 && w > 0) {
-                    // Field-particle coupling to the mean of the other
-                    // species' screenings.
-                    std::vector<real_type> other(
-                        tables[static_cast<std::size_t>(s)].size(), 0.0);
-                    for (size_type s2 = 0; s2 < ns; ++s2) {
-                        if (s2 == s) {
-                            continue;
+                    for (std::size_t k = 0; k < screening.size(); ++k) {
+                        real_type other = 0;
+                        for (size_type s2 = 0; s2 < ns; ++s2) {
+                            if (s2 != s) {
+                                other +=
+                                    tables[static_cast<std::size_t>(s2)][k] /
+                                    static_cast<real_type>(ns - 1);
+                            }
                         }
-                        for (std::size_t k = 0; k < other.size(); ++k) {
-                            other[k] +=
-                                tables[static_cast<std::size_t>(s2)][k] /
-                                static_cast<real_type>(ns - 1);
-                        }
+                        screening[k] = (1 - w) * screening[k] + w * other;
                     }
-                    op.blend_background(other, w);
                 }
-                op.assemble(states[static_cast<std::size_t>(s)], dt,
-                            a.values(node * ns + s));
+                operators_[si].assemble(states[si], screening, dt,
+                                        a.values(node * ns + s));
             }
         } catch (...) {
 #pragma omp critical(bsis_xgc_assembly_failure)

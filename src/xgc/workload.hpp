@@ -5,8 +5,10 @@
 // taken for every species. Each (node, species) pair contributes one
 // linear system per Picard iteration -- this class owns those
 // distributions, generates per-node plasma profiles, and assembles the
-// batched matrices. Batches contain equal numbers of ion and electron
-// systems, interleaved, exactly like the paper's evaluation batches.
+// batched matrices through one immutable CollisionOperator per species,
+// which all threads of an assembly share. Batches contain equal numbers
+// of ion and electron systems, interleaved, exactly like the paper's
+// evaluation batches.
 #pragma once
 
 #include <vector>
@@ -100,8 +102,8 @@ private:
     WorkloadParams params_;
     VelocityGrid grid_;
     std::vector<SpeciesParams> species_;
-    /// One operator per species, only read after construction: assembly
-    /// installs each system's background screening into per-thread copies.
+    /// One immutable operator per species, shared by every thread of
+    /// assemble_batch; each system's screening is passed to it per call.
     std::vector<CollisionOperator> operators_;
     BatchVector<real_type> f_;
 };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <exception>
@@ -139,7 +140,7 @@ TEST_F(OperatorFixture, MaxwellianIsExactDiscreteEquilibrium)
     std::vector<real_type> f(static_cast<std::size_t>(grid_.rows()));
     std::vector<real_type> cf(static_cast<std::size_t>(grid_.rows()));
     maxwellian(grid_, state, VecView<real_type>{f.data(), grid_.rows()});
-    op_.apply(state, ConstVecView<real_type>{f.data(), grid_.rows()},
+    op_.apply(state, {}, ConstVecView<real_type>{f.data(), grid_.rows()},
               VecView<real_type>{cf.data(), grid_.rows()});
     real_type worst = 0;
     for (const auto v : cf) {
@@ -161,7 +162,7 @@ TEST_F(OperatorFixture, DensityConservedForArbitraryF)
         }
     }
     std::vector<real_type> cf(static_cast<std::size_t>(grid_.rows()));
-    op_.apply(state, ConstVecView<real_type>{f.data(), grid_.rows()},
+    op_.apply(state, {}, ConstVecView<real_type>{f.data(), grid_.rows()},
               VecView<real_type>{cf.data(), grid_.rows()});
     real_type density_rate = 0;
     real_type magnitude = 0;
@@ -190,7 +191,7 @@ TEST_F(OperatorFixture, RelaxesPerturbationTowardEquilibrium)
         }
     }
     std::vector<real_type> cf(static_cast<std::size_t>(grid_.rows()));
-    op_.apply(state, ConstVecView<real_type>{f.data(), grid_.rows()},
+    op_.apply(state, {}, ConstVecView<real_type>{f.data(), grid_.rows()},
               VecView<real_type>{cf.data(), grid_.rows()});
     real_type before = 0;
     real_type after = 0;
@@ -208,7 +209,7 @@ TEST_F(OperatorFixture, AssembledMatrixIsNonsymmetricAndNearIdentity)
     PlasmaState state;
     BatchCsr<real_type> batch(1, grid_.rows(), op_.pattern().row_ptrs,
                               op_.pattern().col_idxs);
-    op_.assemble(state, 0.0035, batch.values(0));
+    op_.assemble(state, {}, 0.0035, batch.values(0));
     const auto stats = compute_stats(batch);
     EXPECT_FALSE(stats.numerically_symmetric);
     EXPECT_TRUE(stats.pattern_symmetric);
@@ -227,8 +228,9 @@ TEST_F(OperatorFixture, ScreeningTablesReflectShape)
     PlasmaState state;
     std::vector<real_type> f(static_cast<std::size_t>(grid_.rows()));
     maxwellian(grid_, state, VecView<real_type>{f.data(), grid_.rows()});
-    op_.set_background(state, ConstVecView<real_type>{f.data(), grid_.rows()});
-    for (const auto k : op_.background_table()) {
+    const auto table = op_.set_background(
+        state, ConstVecView<real_type>{f.data(), grid_.rows()});
+    for (const auto k : table) {
         EXPECT_NEAR(k, 1.0, 0.05);  // Maxwellian: ratio ~ 1 in every shell
     }
     // A beam-loaded distribution deviates in the high-speed shells.
@@ -240,12 +242,301 @@ TEST_F(OperatorFixture, ScreeningTablesReflectShape)
     for (std::size_t i = 0; i < f.size(); ++i) {
         f[i] += g[i];
     }
-    op_.set_background(state, ConstVecView<real_type>{f.data(), grid_.rows()});
+    const auto loaded = op_.set_background(
+        state, ConstVecView<real_type>{f.data(), grid_.rows()});
     real_type max_dev = 0;
-    for (const auto k : op_.background_table()) {
+    for (const auto k : loaded) {
         max_dev = std::max(max_dev, std::abs(k - 1.0));
     }
     EXPECT_GT(max_dev, 0.2);
+}
+
+bool same_bits(const std::vector<real_type>& x,
+               const std::vector<real_type>& y)
+{
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(real_type)) ==
+               0;
+}
+
+/// Per-face reference assembly of A = I - dt * C: one exp per Maxwellian
+/// ratio M_face / M_cell and a linear search for each coefficient's CSR
+/// slot. Reads only the operator's public grid, pattern and species.
+std::vector<real_type> reference_assembly(
+    const CollisionOperator& op, const PlasmaState& state,
+    const std::vector<real_type>& screening, real_type dt)
+{
+    const auto& grid = op.grid();
+    const auto& pattern = op.pattern();
+    const auto& species = op.species();
+    std::vector<real_type> c(pattern.col_idxs.size(), 0.0);
+    const auto add = [&](index_type row, index_type col, real_type coeff) {
+        for (index_type p = pattern.row_ptrs[row];
+             p < pattern.row_ptrs[row + 1]; ++p) {
+            if (pattern.col_idxs[p] == col) {
+                c[static_cast<std::size_t>(p)] += coeff;
+                return;
+            }
+        }
+        ADD_FAILURE() << "coefficient outside the 9-point stencil";
+    };
+    const auto screen = [&](real_type wbar) {
+        if (screening.empty()) {
+            return real_type{1};
+        }
+        const auto n = static_cast<int>(screening.size());
+        const real_type pos = std::clamp(wbar / 8.0 * n - 0.5, 0.0,
+                                         static_cast<real_type>(n - 1));
+        const int lo = static_cast<int>(pos);
+        const int hi = std::min(lo + 1, n - 1);
+        const real_type frac = pos - lo;
+        const real_type kappa =
+            (1 - frac) * screening[static_cast<std::size_t>(lo)] +
+            frac * screening[static_cast<std::size_t>(hi)];
+        return 1 + species.screening_strength * (kappa - 1);
+    };
+    const real_type t2 = state.temperature;
+    const auto tensor = [&](real_type vpar, real_type vperp, real_type& d11,
+                            real_type& d12, real_type& d22) {
+        const real_type w1 = vpar - state.u_par;
+        const real_type w2 = vperp;
+        const real_type w_sq = w1 * w1 + w2 * w2;
+        if (w_sq < 1e-12) {
+            d11 = d22 = t2;
+            d12 = 0;
+            return;
+        }
+        const real_type wbar = std::sqrt(w_sq / t2);
+        const real_type denom = 1 + wbar * wbar * wbar / 3;
+        const real_type kappa = screen(wbar);
+        const real_type phi_par = kappa * t2 / denom;
+        const real_type phi_perp = kappa * t2 * (1 + wbar * wbar / 4) / denom;
+        const real_type diff = phi_par - phi_perp;
+        d11 = phi_perp + diff * (w1 * w1) / w_sq;
+        d22 = phi_perp + diff * (w2 * w2) / w_sq;
+        d12 = diff * (w1 * w2) / w_sq;
+    };
+    const auto log_m = [&](real_type vpar, real_type vperp) {
+        const real_type w1 = vpar - state.u_par;
+        return -(w1 * w1 + vperp * vperp) / (2 * t2);
+    };
+    const auto ratio = [](real_type log_m_face, real_type log_m_cell) {
+        return std::exp(log_m_face - log_m_cell);
+    };
+    const index_type nx = grid.n_vpar();
+    const index_type ny = grid.n_vperp();
+    const real_type d1 = grid.dvpar();
+    const real_type d2 = grid.dvperp();
+    const real_type k = species.collision_rate *
+                        (state.density / species.reference_density) /
+                        std::pow(t2, 1.5);
+
+    // v_par faces, grid line by grid line.
+    for (index_type j = 0; j < ny; ++j) {
+        const real_type vperp_c = grid.vperp(j);
+        for (index_type i = 0; i + 1 < nx; ++i) {
+            const real_type vpar_f = grid.vpar(i) + d1 / 2;
+            real_type d11;
+            real_type d12;
+            real_type d22;
+            tensor(vpar_f, vperp_c, d11, d12, d22);
+            const real_type lmf = log_m(vpar_f, vperp_c);
+            const index_type left = grid.row(i, j);
+            const index_type right = grid.row(i + 1, j);
+            const auto flux = [&](index_type col, real_type coeff) {
+                add(left, col, k * coeff / d1);
+                add(right, col, -k * coeff / d1);
+            };
+            flux(left,
+                 -d11 * ratio(lmf, log_m(grid.vpar(i), vperp_c)) / d1);
+            flux(right,
+                 d11 * ratio(lmf, log_m(grid.vpar(i + 1), vperp_c)) / d1);
+            if (j > 0 && j + 1 < ny) {
+                const real_type c4 = d12 / (4 * d2);
+                const auto mixed = [&](index_type ii, index_type jj,
+                                       real_type sign) {
+                    flux(grid.row(ii, jj),
+                         sign * c4 *
+                             ratio(lmf,
+                                   log_m(grid.vpar(ii), grid.vperp(jj))));
+                };
+                mixed(i, j + 1, 1);
+                mixed(i + 1, j + 1, 1);
+                mixed(i, j - 1, -1);
+                mixed(i + 1, j - 1, -1);
+            }
+        }
+    }
+    // v_perp faces, grid line by grid line.
+    for (index_type j = 0; j + 1 < ny; ++j) {
+        const real_type vperp_f = grid.vperp_face(j + 1);
+        const real_type jac_b = grid.vperp(j);
+        const real_type jac_t = grid.vperp(j + 1);
+        for (index_type i = 0; i < nx; ++i) {
+            const real_type vpar_c = grid.vpar(i);
+            real_type d11;
+            real_type d12;
+            real_type d22;
+            tensor(vpar_c, vperp_f, d11, d12, d22);
+            const real_type lmf = log_m(vpar_c, vperp_f);
+            const index_type bottom = grid.row(i, j);
+            const index_type top = grid.row(i, j + 1);
+            const auto flux = [&](index_type col, real_type coeff) {
+                add(bottom, col, k * coeff * vperp_f / (jac_b * d2));
+                add(top, col, -k * coeff * vperp_f / (jac_t * d2));
+            };
+            flux(bottom,
+                 -d22 * ratio(lmf, log_m(vpar_c, grid.vperp(j))) / d2);
+            flux(top,
+                 d22 * ratio(lmf, log_m(vpar_c, grid.vperp(j + 1))) / d2);
+            if (i > 0 && i + 1 < nx) {
+                const real_type c4 = d12 / (4 * d1);
+                const auto mixed = [&](index_type ii, index_type jj,
+                                       real_type sign) {
+                    flux(grid.row(ii, jj),
+                         sign * c4 *
+                             ratio(lmf,
+                                   log_m(grid.vpar(ii), grid.vperp(jj))));
+                };
+                mixed(i + 1, j, 1);
+                mixed(i + 1, j + 1, 1);
+                mixed(i - 1, j, -1);
+                mixed(i - 1, j + 1, -1);
+            }
+        }
+    }
+    for (index_type r = 0; r < pattern.rows(); ++r) {
+        for (index_type p = pattern.row_ptrs[r];
+             p < pattern.row_ptrs[r + 1]; ++p) {
+            const auto pi = static_cast<std::size_t>(p);
+            c[pi] = (pattern.col_idxs[p] == r ? 1.0 : 0.0) - dt * c[pi];
+        }
+    }
+    return c;
+}
+
+/// Screening table of a Maxwellian of `state` loaded with a beam at
+/// u_par 2.5 and density 0.4, as in ScreeningTablesReflectShape.
+std::vector<real_type> beam_loaded_screening(const CollisionOperator& op,
+                                             const PlasmaState& state,
+                                             real_type beam_u_par = 2.5)
+{
+    const auto& grid = op.grid();
+    std::vector<real_type> f(static_cast<std::size_t>(grid.rows()));
+    std::vector<real_type> g(f.size());
+    maxwellian(grid, state, VecView<real_type>{f.data(), grid.rows()});
+    PlasmaState beam = state;
+    beam.u_par = beam_u_par;
+    beam.density = 0.4;
+    maxwellian(grid, beam, VecView<real_type>{g.data(), grid.rows()});
+    for (std::size_t i = 0; i < f.size(); ++i) {
+        f[i] += g[i];
+    }
+    return op.set_background(state,
+                             ConstVecView<real_type>{f.data(), grid.rows()});
+}
+
+TEST(CollisionOperator, FaceKernelMatchesPerFaceReference)
+{
+    PlasmaState drifting;
+    drifting.density = 1.3;
+    drifting.u_par = 0.2;
+    drifting.temperature = 0.9;
+    const real_type dt = 0.0035;
+    // 8 x 7: boundary rows, where faces drop their mixed terms, dominate.
+    for (const auto& grid : {VelocityGrid(32, 31), VelocityGrid(8, 7)}) {
+        for (const auto& species :
+             {ion_species(), electron_species(), ion_species(2)}) {
+            const CollisionOperator op(grid, species);
+            for (const auto& state : {PlasmaState{}, drifting}) {
+                for (const bool screened : {false, true}) {
+                    SCOPED_TRACE(species.name + " on " +
+                                 std::to_string(grid.n_vpar()) + "x" +
+                                 std::to_string(grid.n_vperp()) +
+                                 ", u_par " + std::to_string(state.u_par) +
+                                 (screened ? ", screened" : ""));
+                    const auto screening =
+                        screened ? beam_loaded_screening(op, state)
+                                 : std::vector<real_type>{};
+                    const auto expected =
+                        reference_assembly(op, state, screening, dt);
+                    std::vector<real_type> values(expected.size());
+                    op.assemble(state, screening, dt, values.data());
+                    real_type largest = 0;
+                    real_type worst = 0;
+                    for (std::size_t p = 0; p < values.size(); ++p) {
+                        largest = std::max(largest, std::abs(expected[p]));
+                        worst = std::max(worst,
+                                         std::abs(values[p] - expected[p]));
+                    }
+                    EXPECT_LE(worst, 1e-13 * largest);
+                }
+            }
+            // A screening table is empty or has one factor per shell.
+            std::vector<real_type> values(op.pattern().col_idxs.size());
+            EXPECT_THROW(op.assemble(PlasmaState{},
+                                     std::vector<real_type>(3, 1.0), dt,
+                                     values.data()),
+                         DimensionMismatch);
+        }
+    }
+}
+
+TEST(CollisionOperator, SharedOperatorAssemblesConcurrently)
+{
+    // One const operator serves four threads, each computing the screening
+    // and assembling 8 (state, screening table) pairs of its own.
+    const VelocityGrid grid(32, 31);
+    const CollisionOperator op(grid, electron_species());
+    constexpr int num_threads = 4;
+    constexpr int per_thread = 8;
+    constexpr int num_pairs = num_threads * per_thread;
+    const auto nnz = op.pattern().col_idxs.size();
+    std::vector<PlasmaState> states(num_pairs);
+    for (int k = 0; k < num_pairs; ++k) {
+        states[k].density = 1.0 + 0.01 * k;
+        states[k].u_par = 0.01 * (k % 7) - 0.03;
+        states[k].temperature = 0.8 + 0.015 * k;
+    }
+    // Every fourth pair runs unscreened.
+    const auto pair = [&](int k, std::vector<real_type>& values) {
+        const auto screening =
+            k % 4 == 0 ? std::vector<real_type>{}
+                       : beam_loaded_screening(op, states[k], 1.5 + 0.05 * k);
+        op.assemble(states[k], screening, 0.0035, values.data());
+    };
+    std::vector<std::vector<real_type>> serial(
+        num_pairs, std::vector<real_type>(nnz));
+    for (int k = 0; k < num_pairs; ++k) {
+        pair(k, serial[k]);
+    }
+
+    std::vector<std::vector<real_type>> shared(
+        num_pairs, std::vector<real_type>(nnz));
+    std::vector<std::exception_ptr> errors(num_threads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < num_threads; ++t) {
+        threads.emplace_back([&, t] {
+            try {
+                for (int k = t; k < num_pairs; k += num_threads) {
+                    pair(k, shared[k]);
+                }
+            } catch (...) {
+                errors[t] = std::current_exception();
+            }
+        });
+    }
+    for (auto& thread : threads) {
+        thread.join();
+    }
+    for (const auto& error : errors) {
+        if (error) {
+            std::rethrow_exception(error);
+        }
+    }
+    for (int k = 0; k < num_pairs; ++k) {
+        EXPECT_TRUE(same_bits(shared[k], serial[k])) << "pair " << k;
+    }
 }
 
 TEST(Workload, SystemLayoutAlternatesSpecies)
@@ -409,14 +700,6 @@ std::vector<real_type> batch_values(const BatchCsr<real_type>& a)
     return {a.values(0),
             a.values(0) + static_cast<std::size_t>(a.num_batch()) *
                               static_cast<std::size_t>(a.nnz_per_entry())};
-}
-
-bool same_bits(const std::vector<real_type>& x,
-               const std::vector<real_type>& y)
-{
-    return x.size() == y.size() &&
-           std::memcmp(x.data(), y.data(), x.size() * sizeof(real_type)) ==
-               0;
 }
 
 TEST(Workload, ConcurrentAssemblyMatchesSerial)
