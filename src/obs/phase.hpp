@@ -64,6 +64,13 @@ inline constexpr std::int64_t cpu_sample_period = 16;
 /// but leaves its CPU share intact, so share comparisons against the
 /// model stay meaningful on a loaded machine.
 ///
+/// A solve's totals sum over its worker threads, whose spans each run
+/// one after another inside the solve's wall window, so their seconds add
+/// up to at most the wall time times the solve's team size. The achieved
+/// bandwidth attributed from them is bytes per thread-second, so on a
+/// multi-thread solve its `peak_fraction` against the node-wide host peak
+/// reads low by up to the team size.
+///
 /// `cpu_seconds` is estimated from the sample: sampled CPU seconds x
 /// calls / sampled calls, exact when every span was sampled. Each sample
 /// is still thread-CPU time, so the estimate inherits the preemption
