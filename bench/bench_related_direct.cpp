@@ -3,12 +3,13 @@
 // reproduces those comparisons:
 //
 //  1. Tridiagonal specialists (cuThomasBatch-style one-thread-per-system
-//     Thomas, gtsv2-style cyclic reduction) on 1D collision-like systems:
-//     exact solves vs BiCGStab stopping at the application tolerance --
-//     and the iterative solver's "early stopping" advantage at looser
-//     tolerances (Section III: "flexibility provided by the iterative
-//     solvers in terms of early stopping ... can make them very
-//     attractive even for relatively small problems").
+//     Thomas, gtsv2-style cyclic reduction; both from the gpusim cost
+//     model) on 1D collision-like systems: exact solves vs BiCGStab
+//     stopping at the application tolerance -- and the iterative
+//     solver's "early stopping" advantage at looser tolerances (Section
+//     III: "flexibility provided by the iterative solvers in terms of
+//     early stopping ... can make them very attractive even for
+//     relatively small problems").
 //
 //  2. Batched DENSE LU on the 992-row 9-point systems vs dgbsv on the
 //     Skylake node (Section II: "using dense solvers on the GPU is not
@@ -18,32 +19,17 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "lapack/tridiag.hpp"
 
 namespace {
 
 using namespace bsis;
 
 /// 1D backward-Euler diffusion systems (the tridiagonal analogue of the
-/// collision solves), one per batch entry, with mild per-entry variation.
-void fill_tridiag(lapack::BatchTridiag& batch, real_type coupling)
+/// collision solves) on one shared CSR pattern, one per batch entry, with
+/// mild per-entry variation.
+BatchCsr<real_type> diffusion_batch(size_type num_batch, index_type n,
+                                    real_type coupling)
 {
-    for (size_type b = 0; b < batch.num_batch(); ++b) {
-        auto t = batch.entry(b);
-        const real_type c =
-            coupling * (1.0 + 0.1 * static_cast<real_type>(b % 7) / 7.0);
-        for (index_type i = 0; i < t.n; ++i) {
-            t.sub[i] = i > 0 ? -c : 0.0;
-            t.sup[i] = i + 1 < t.n ? -c : 0.0;
-            t.diag[i] = 1.0 + 2.0 * c;
-        }
-    }
-}
-
-/// The same systems as a shared-pattern CSR batch for the iterative path.
-BatchCsr<real_type> tridiag_to_csr(lapack::BatchTridiag& batch)
-{
-    const index_type n = batch.n();
     std::vector<index_type> row_ptrs(static_cast<std::size_t>(n) + 1, 0);
     std::vector<index_type> col_idxs;
     for (index_type i = 0; i < n; ++i) {
@@ -53,15 +39,16 @@ BatchCsr<real_type> tridiag_to_csr(lapack::BatchTridiag& batch)
         row_ptrs[static_cast<std::size_t>(i) + 1] =
             static_cast<index_type>(col_idxs.size());
     }
-    BatchCsr<real_type> csr(batch.num_batch(), n, row_ptrs, col_idxs);
-    for (size_type b = 0; b < batch.num_batch(); ++b) {
-        auto t = batch.entry(b);
+    BatchCsr<real_type> csr(num_batch, n, row_ptrs, col_idxs);
+    for (size_type b = 0; b < num_batch; ++b) {
+        const real_type c =
+            coupling * (1.0 + 0.1 * static_cast<real_type>(b % 7) / 7.0);
         real_type* vals = csr.values(b);
         index_type p = 0;
         for (index_type i = 0; i < n; ++i) {
-            if (i > 0) vals[p++] = t.sub[i];
-            vals[p++] = t.diag[i];
-            if (i + 1 < n) vals[p++] = t.sup[i];
+            if (i > 0) vals[p++] = -c;
+            vals[p++] = 1.0 + 2.0 * c;
+            if (i + 1 < n) vals[p++] = -c;
         }
     }
     return csr;
@@ -80,9 +67,7 @@ int main()
     Table tri({"batch", "thomas_us", "cyclic_reduction_us",
                "bicgstab_tol1e-10_us", "bicgstab_tol1e-6_us"});
     for (const size_type nbatch : bench::batch_sizes()) {
-        lapack::BatchTridiag batch(nbatch, n);
-        fill_tridiag(batch, 0.8);
-        auto csr = tridiag_to_csr(batch);
+        const auto csr = diffusion_batch(nbatch, n, 0.8);
         BatchVector<real_type> b(nbatch, n, 1.0);
         BatchVector<real_type> x(nbatch, n);
 

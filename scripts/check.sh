@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Hardened check tier: build with -Werror, run the sanitizer-labeled
 # tests, the observability (telemetry) tests and the other labelled tiers,
-# the concurrency tests under ThreadSanitizer, then run the solver example
-# suite under --sanitize. Any SIMT sanitizer finding (shared race, barrier
-# divergence, out-of-bounds access) or ThreadSanitizer report fails the
-# script.
+# the concurrency tests under ThreadSanitizer and the reachability lint,
+# then run the solver example suite under --sanitize. Any SIMT sanitizer
+# finding (shared race, barrier divergence, out-of-bounds access),
+# ThreadSanitizer report or src/ function that no bench, tool or example
+# links (unless allowlisted) fails the script.
 #
 # Usage: scripts/check.sh            (build dir defaults to ./build)
 #        BUILD_DIR=out scripts/check.sh
@@ -144,6 +145,13 @@ tsan_run test_attribution \
 tsan_run test_obs 'Metrics.ShardedRecordingMergesExactlyAcrossThreads:Metrics.GaugeMergeKeepsTheLatestWriteAcrossShards:Trace.ClearWhileOtherThreadsRecord' 3
 tsan_run test_xgc \
     'Workload.ConcurrentAssemblyMatchesSerial:CollisionOperator.SharedOperatorAssemblesConcurrently' 2
+
+# Reachability: every out-of-line src/ function must be linked by a bench,
+# tool or example binary, or be listed with its reason in
+# scripts/reachability_allow.txt (a third build dir, <build>-reach, at
+# -O0 -fno-inline with --gc-sections; see the script).
+echo "== reachability tier =="
+BUILD_DIR="$BUILD_DIR" scripts/reachability.sh
 
 echo "== sanitized examples =="
 for example in quickstart solver_comparison device_comparison; do

@@ -88,7 +88,9 @@ EntryResult bicg_kernel(const MatrixView& a, ConstVecView<real_type> b,
             return {iter, r_norm, false, FailureClass::breakdown_rho};
         }
         const real_type alpha = rho / pq;
-        blas::axpy(alpha, ConstVecView<real_type>(p), x);
+        obs::traced(obs::Phase::update, "update", [&] {
+            blas::axpy(alpha, ConstVecView<real_type>(p), x);
+        });
         // r -= alpha * q fused with ||r||; shadow residual in a plain axpy.
         r_norm = obs::traced(obs::Phase::update, "update", [&] {
             const real_type rn =

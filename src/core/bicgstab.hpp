@@ -263,8 +263,10 @@ EntryResult bicgstab_kernel_unfused(
         if (!std::isfinite(r_norm)) {
             return {iter, r_norm, false, FailureClass::non_finite};
         }
-        const real_type rho =
-            blas::dot(ConstVecView<real_type>(r), ConstVecView<real_type>(r_hat));
+        const real_type rho = obs::traced(obs::Phase::reduction, "reduction", [&] {
+            return blas::dot(ConstVecView<real_type>(r),
+                             ConstVecView<real_type>(r_hat));
+        });
         if (rho == real_type{0} || omega == real_type{0}) {
             // Serious breakdown: the Krylov space cannot be extended.
             return {iter, r_norm, false,

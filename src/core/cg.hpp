@@ -111,7 +111,9 @@ EntryResult cg_kernel(const MatrixView& a, ConstVecView<real_type> b,
             return {iter, r_norm, false, FailureClass::breakdown_rho};
         }
         const real_type alpha = rz / pq;
-        blas::axpy(alpha, ConstVecView<real_type>(p), x);
+        obs::traced(obs::Phase::update, "update", [&] {
+            blas::axpy(alpha, ConstVecView<real_type>(p), x);
+        });
         // r -= alpha * q, fused with ||r|| on the classic kernel (one sweep
         // instead of two). The pipelined norm is ||r - alpha q||^2
         // re-anchored at this iteration's measured ||r||, so recurrence

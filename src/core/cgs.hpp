@@ -68,8 +68,10 @@ EntryResult cgs_kernel(const MatrixView& a, ConstVecView<real_type> b,
             return {iter, r_norm, false, FailureClass::breakdown_rho};
         }
         if (iter == 0) {
-            blas::copy(ConstVecView<real_type>(r), u);
-            blas::copy(ConstVecView<real_type>(u), p);
+            obs::traced(obs::Phase::update, "update", [&] {
+                blas::copy(ConstVecView<real_type>(r), u);
+                blas::copy(ConstVecView<real_type>(u), p);
+            });
         } else {
             const real_type beta = rho / rho_old;
             obs::traced(obs::Phase::update, "update", [&] {
@@ -104,7 +106,9 @@ EntryResult cgs_kernel(const MatrixView& a, ConstVecView<real_type> b,
         });
         obs::traced(obs::Phase::precond, "precond_apply",
                     [&] { prec.apply(ConstVecView<real_type>(t), u_hat); });
-        blas::axpy(alpha, ConstVecView<real_type>(u_hat), x);
+        obs::traced(obs::Phase::update, "update", [&] {
+            blas::axpy(alpha, ConstVecView<real_type>(u_hat), x);
+        });
         obs::traced(obs::Phase::spmv, "spmv",
                     [&] { spmv(a, ConstVecView<real_type>(u_hat), t); });
         // r -= alpha * t fused with ||r||.

@@ -119,7 +119,8 @@ EntryResult chebyshev_kernel(const MatrixView& a, ConstVecView<real_type> b,
         obs::traced(obs::Phase::precond, "precond_apply",
                     [&] { prec.apply(ConstVecView<real_type>(r), z); });
         if (iter == 0) {
-            blas::copy(ConstVecView<real_type>(z), p);
+            obs::traced(obs::Phase::update, "update",
+                        [&] { blas::copy(ConstVecView<real_type>(z), p); });
             alpha = 1 / theta;
         } else {
             const real_type beta =
@@ -131,7 +132,8 @@ EntryResult chebyshev_kernel(const MatrixView& a, ConstVecView<real_type> b,
                             p);
             });
         }
-        blas::axpy(alpha, ConstVecView<real_type>(p), x);
+        obs::traced(obs::Phase::update, "update",
+                    [&] { blas::axpy(alpha, ConstVecView<real_type>(p), x); });
         obs::traced(obs::Phase::spmv, "spmv",
                     [&] { spmv(a, ConstVecView<real_type>(p), q); });
         obs::traced(obs::Phase::update, "update",

@@ -62,7 +62,9 @@ inline const char* failure_class_name(FailureClass c)
 }
 
 /// Inverse of failure_class_name; returns false when `name` matches no
-/// class (out param untouched). Used by the bundle replay path.
+/// class (out param untouched). Its one user is test_forensics' bundle
+/// replay check, which maps a bundle's recorded class name back to the
+/// enum; tools/replay_entry compares the names as strings.
 inline bool failure_class_from_name(const std::string& name,
                                     FailureClass& out)
 {

@@ -40,16 +40,6 @@ public:
         failures_[static_cast<std::size_t>(system)] = failure;
     }
 
-    /// Legacy entry point (pre-taxonomy): derives the class from the
-    /// converged bit alone.
-    void record(size_type system, int iterations, real_type res_norm,
-                bool converged)
-    {
-        record(system, iterations, res_norm, converged,
-               converged ? FailureClass::converged
-                         : FailureClass::max_iters);
-    }
-
     int iterations(size_type system) const
     {
         return iters_[static_cast<std::size_t>(system)];
@@ -145,16 +135,6 @@ public:
     {
         buffers_[static_cast<std::size_t>(thread)].entries.push_back(
             {system, iterations, res_norm, converged, failure});
-    }
-
-    /// Legacy entry point (pre-taxonomy): derives the class from the
-    /// converged bit alone.
-    void record(int thread, size_type system, int iterations,
-                real_type res_norm, bool converged)
-    {
-        record(thread, system, iterations, res_norm, converged,
-               converged ? FailureClass::converged
-                         : FailureClass::max_iters);
     }
 
     void merge_into(BatchLog& log) const

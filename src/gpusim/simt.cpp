@@ -103,16 +103,6 @@ void BlockTracer::store_shared(const std::vector<std::uint64_t>& lane_addrs,
     }
 }
 
-void BlockTracer::load_shared(int active_lanes)
-{
-    record_shared(active_lanes);
-}
-
-void BlockTracer::store_shared(int active_lanes)
-{
-    record_shared(active_lanes);
-}
-
 void BlockTracer::barrier()
 {
     barrier(block_threads_);

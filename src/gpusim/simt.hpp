@@ -99,14 +99,6 @@ public:
     void store_shared(const std::vector<std::uint64_t>& lane_addrs,
                       int bytes_per_lane);
 
-    /// DEPRECATED count-only shared access shims: counter semantics are
-    /// identical to the addressed overloads (one warp instruction,
-    /// `active_lanes` shared accesses) but carry no addresses, so the
-    /// sanitizer cannot check them. Kept for callers that only need
-    /// counters; new kernels must use the addressed overloads.
-    void load_shared(int active_lanes);
-    void store_shared(int active_lanes);
-
     /// Block-wide barrier (__syncthreads / s_barrier) with every thread
     /// participating.
     void barrier();
@@ -119,9 +111,9 @@ public:
     const SimtCounters& counters() const { return counters_; }
 
 private:
-    /// Common counter bump of addressed and count-only shared accesses
-    /// (exactly once per access -- the overloads must not chain through
-    /// each other, which would double count).
+    /// Common counter bump of the shared loads and stores (exactly once
+    /// per access -- the two must not chain through each other, which
+    /// would double count).
     void record_shared(int active_lanes);
     void global_access(const std::vector<std::uint64_t>& lane_addrs,
                        int bytes_per_lane, bool is_write);

@@ -432,87 +432,6 @@ void trace_spmv_ell_dots(BlockTracer& tracer, const AddressMap& map,
                   y_base, self_dot, dot_bases, scratch_base);
 }
 
-void trace_spmv_ell_multi(BlockTracer& tracer, const AddressMap& map,
-                          index_type rows, index_type nnz_per_row,
-                          const std::vector<index_type>& ell_col_idxs,
-                          int threads_per_row, std::uint64_t x_base,
-                          std::uint64_t y_base)
-{
-    tracer.set_kernel("spmv_ell_multi");
-    const int warp = tracer.warp_size();
-    BSIS_ENSURE_ARG(threads_per_row >= 1 && warp % threads_per_row == 0,
-                    "threads_per_row must divide the warp size");
-    const int warps = tracer.num_warps();
-    const int rows_per_warp = warp / threads_per_row;
-    std::vector<std::uint64_t> lane_vals;
-    std::vector<std::uint64_t> lane_cols;
-    std::vector<std::uint64_t> gather;
-
-    // A warp covers `rows_per_warp` consecutive rows; within each row its
-    // thread group strides over the slots.
-    for (index_type r0 = 0; r0 < rows; r0 += rows_per_warp) {
-        tracer.set_warp(static_cast<int>((r0 / rows_per_warp) % warps));
-        const int active_rows = static_cast<int>(
-            std::min<index_type>(rows_per_warp, rows - r0));
-        for (index_type k0 = 0; k0 < nnz_per_row;
-             k0 += threads_per_row) {
-            lane_vals.clear();
-            lane_cols.clear();
-            gather.clear();
-            int live = 0;
-            for (int rr = 0; rr < active_rows; ++rr) {
-                for (int t = 0; t < threads_per_row; ++t) {
-                    const index_type k = k0 + t;
-                    if (k >= nnz_per_row) {
-                        continue;
-                    }
-                    const std::size_t slot =
-                        static_cast<std::size_t>(k) * rows + (r0 + rr);
-                    lane_cols.push_back(map.col_idxs +
-                                        slot * sizeof(index_type));
-                    lane_vals.push_back(map.values +
-                                        slot * sizeof(real_type));
-                    const index_type c = ell_col_idxs[slot];
-                    if (c != ell_padding) {
-                        gather.push_back(
-                            x_base + static_cast<std::uint64_t>(c) *
-                                         sizeof(real_type));
-                        ++live;
-                    }
-                }
-            }
-            tracer.load_global(lane_cols, sizeof(index_type));
-            tracer.load_global(lane_vals, sizeof(real_type));
-            if (!gather.empty()) {
-                if (is_shared_addr(x_base)) {
-                    tracer.load_shared(gather, sizeof(real_type));
-                } else {
-                    tracer.load_global(gather, sizeof(real_type));
-                }
-            }
-            tracer.flop(live, 2);
-        }
-        // Sub-warp reduction: log2(threads_per_row) shuffle stages over
-        // all groups of the warp.
-        int width = threads_per_row;
-        while (width > 1) {
-            width /= 2;
-            tracer.flop(active_rows * width);
-        }
-        std::vector<std::uint64_t> store;
-        for (int rr = 0; rr < active_rows; ++rr) {
-            store.push_back(y_base + static_cast<std::uint64_t>(r0 + rr) *
-                                         sizeof(real_type));
-        }
-        if (is_shared_addr(y_base)) {
-            tracer.store_shared(store, sizeof(real_type));
-        } else {
-            tracer.store_global(store, sizeof(real_type));
-        }
-    }
-    tracer.barrier();
-}
-
 void trace_dot(BlockTracer& tracer, index_type n, std::uint64_t a_base,
                std::uint64_t b_base, std::uint64_t scratch_base)
 {

@@ -103,18 +103,6 @@ void trace_spmv_ell(BlockTracer& tracer, const AddressMap& map,
                     const std::vector<index_type>& ell_col_idxs,
                     std::uint64_t x_base, std::uint64_t y_base);
 
-/// Multi-thread-per-row ELL SpMV: `threads_per_row` lanes cooperate on
-/// each row, striding over its slots and combining with a sub-warp
-/// shuffle reduction. Section IV-E of the paper: "For matrices with more
-/// elements in a single row, it might be necessary to have multiple
-/// threads working on one row." Requires threads_per_row to divide the
-/// warp size.
-void trace_spmv_ell_multi(BlockTracer& tracer, const AddressMap& map,
-                          index_type rows, index_type nnz_per_row,
-                          const std::vector<index_type>& ell_col_idxs,
-                          int threads_per_row, std::uint64_t x_base,
-                          std::uint64_t y_base);
-
 /// Block-wide dot product / norm over vectors of length n (pass the same
 /// base twice for a norm). `scratch_base` is the shared byte offset of the
 /// cross-warp reduction scratch (one real per warp): per-warp partials are

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include <exception>
-
 #include "util/error.hpp"
 
 namespace bsis::lapack {
@@ -98,90 +96,6 @@ void gesv(DenseView<real_type> a, VecView<real_type> b)
     std::vector<index_type> ipiv;
     getrf(a, ipiv);
     getrs(ConstDenseView<real_type>(a), ipiv, b);
-}
-
-void geqrs(DenseView<real_type> a, VecView<real_type> b)
-{
-    BSIS_ENSURE_DIMS(a.rows == a.cols, "QR solve requires a square matrix");
-    const index_type n = a.rows;
-    BSIS_ENSURE_DIMS(b.len == n, "rhs length must equal matrix order");
-    // Householder QR: for each column, build v with H = I - 2 v v^T / v^T v
-    // annihilating below-diagonal entries, apply to remaining columns and b.
-    std::vector<real_type> v(static_cast<std::size_t>(n));
-    for (index_type j = 0; j < n; ++j) {
-        real_type norm = 0;
-        for (index_type i = j; i < n; ++i) {
-            norm += a(i, j) * a(i, j);
-        }
-        norm = std::sqrt(norm);
-        if (norm == real_type{0}) {
-            throw NumericalBreakdown(
-                "geqrs", "rank-deficient at column " + std::to_string(j));
-        }
-        const real_type alpha = a(j, j) >= 0 ? -norm : norm;
-        real_type vnorm2 = 0;
-        for (index_type i = j; i < n; ++i) {
-            v[i] = a(i, j);
-        }
-        v[j] -= alpha;
-        for (index_type i = j; i < n; ++i) {
-            vnorm2 += v[i] * v[i];
-        }
-        if (vnorm2 == real_type{0}) {
-            continue;  // column already triangular
-        }
-        const real_type beta = 2 / vnorm2;
-        for (index_type c = j; c < n; ++c) {
-            real_type dot = 0;
-            for (index_type i = j; i < n; ++i) {
-                dot += v[i] * a(i, c);
-            }
-            const real_type scale = beta * dot;
-            for (index_type i = j; i < n; ++i) {
-                a(i, c) -= scale * v[i];
-            }
-        }
-        real_type dot = 0;
-        for (index_type i = j; i < n; ++i) {
-            dot += v[i] * b[i];
-        }
-        const real_type scale = beta * dot;
-        for (index_type i = j; i < n; ++i) {
-            b[i] -= scale * v[i];
-        }
-    }
-    for (index_type j = n - 1; j >= 0; --j) {
-        b[j] /= a(j, j);
-        for (index_type i = 0; i < j; ++i) {
-            b[i] -= a(i, j) * b[j];
-        }
-    }
-}
-
-void batch_gesv(BatchDense<real_type>& a, BatchVector<real_type>& x)
-{
-    BSIS_ENSURE_DIMS(a.num_batch() == x.num_batch(),
-                     "batch counts must match");
-    BSIS_ENSURE_DIMS(a.rows() == x.len(),
-                     "rhs length must equal matrix order");
-    const size_type nbatch = a.num_batch();
-    std::exception_ptr failure;
-#pragma omp parallel for schedule(dynamic)
-    for (size_type b = 0; b < nbatch; ++b) {
-        try {
-            gesv(a.entry(b), x.entry(b));
-        } catch (...) {
-#pragma omp critical(bsis_batch_driver_failure)
-            {
-                if (!failure) {
-                    failure = std::current_exception();
-                }
-            }
-        }
-    }
-    if (failure) {
-        std::rethrow_exception(failure);
-    }
 }
 
 real_type norm_1(ConstDenseView<real_type> a)

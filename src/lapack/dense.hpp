@@ -1,8 +1,8 @@
-// Dense factorizations: LU with partial pivoting (getrf/getrs), Householder
-// QR solve, and a 1-norm condition estimator (Hager/Higham). Used for
-// validating the banded solvers, for block-Jacobi preconditioner setup, and
-// for matrix characterization (Section II of the paper motivates iterative
-// solvers by the low condition numbers of the collision matrices).
+// Dense factorizations: LU with partial pivoting (getrf/getrs) and a
+// 1-norm condition estimator (Hager/Higham). Used for validating the
+// banded solvers, for block-Jacobi preconditioner setup, and for matrix
+// characterization (Section II of the paper motivates iterative solvers by
+// the low condition numbers of the collision matrices).
 #pragma once
 
 #include <vector>
@@ -27,15 +27,6 @@ void getrs_transpose(ConstDenseView<real_type> a,
 
 /// Convenience driver: factorize + solve; destroys `a`.
 void gesv(DenseView<real_type> a, VecView<real_type> b);
-
-/// Householder QR solve of a square system; destroys `a`, overwrites `b`.
-void geqrs(DenseView<real_type> a, VecView<real_type> b);
-
-/// Batched dense LU driver (the getrf/getrs-batched of the Section III
-/// batched-LAPACK literature): factorizes and solves every entry, one
-/// system per OpenMP task. `x` enters holding the right-hand sides and
-/// exits holding the solutions; the matrices are destroyed.
-void batch_gesv(BatchDense<real_type>& a, BatchVector<real_type>& x);
 
 /// 1-norm of a dense matrix.
 real_type norm_1(ConstDenseView<real_type> a);

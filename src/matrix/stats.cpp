@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <ostream>
-#include <vector>
 
 #include "matrix/conversions.hpp"
 
@@ -122,24 +120,6 @@ StorageCost storage_cost(index_type rows, index_type nnz,
                        sellp_stored * index_bytes +
                        (num_slices + 1) * index_bytes;
     return cost;
-}
-
-void print_pattern(std::ostream& os, const BatchCsr<real_type>& batch,
-                   index_type max_rows)
-{
-    const index_type rows = std::min(batch.rows(), max_rows);
-    const auto& ptrs = batch.row_ptrs();
-    const auto& cols = batch.col_idxs();
-    for (index_type r = 0; r < rows; ++r) {
-        std::vector<char> line(static_cast<std::size_t>(rows), '.');
-        for (index_type p = ptrs[r]; p < ptrs[r + 1]; ++p) {
-            if (cols[p] < rows) {
-                line[static_cast<std::size_t>(cols[p])] = '*';
-            }
-        }
-        os.write(line.data(), rows);
-        os << '\n';
-    }
 }
 
 }  // namespace bsis

@@ -2,8 +2,6 @@
 // pattern characterization) of the paper.
 #pragma once
 
-#include <iosfwd>
-
 #include "matrix/batch_csr.hpp"
 #include "util/types.hpp"
 
@@ -46,10 +44,5 @@ StorageCost storage_cost(index_type rows, index_type nnz,
                          size_type value_bytes = sizeof(real_type),
                          size_type index_bytes = sizeof(index_type),
                          index_type slice_size = 32);
-
-/// Prints an ASCII rendering of the sparsity pattern (for small matrices),
-/// the textual stand-in for the paper's Fig. 4 spy plot.
-void print_pattern(std::ostream& os, const BatchCsr<real_type>& batch,
-                   index_type max_rows = 64);
 
 }  // namespace bsis

@@ -10,13 +10,4 @@ double Timer::seconds() const
     return std::chrono::duration<double>(now - start_).count();
 }
 
-void StopWatch::stop()
-{
-    if (running_) {
-        total_ += lap_.seconds();
-        ++laps_;
-        running_ = false;
-    }
-}
-
 }  // namespace bsis

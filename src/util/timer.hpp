@@ -2,7 +2,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace bsis {
 
@@ -25,31 +24,6 @@ public:
 
 private:
     std::chrono::steady_clock::time_point start_;
-};
-
-/// Accumulates wall time over repeated start/stop intervals, tracking the
-/// number of laps so callers can report means.
-class StopWatch {
-public:
-    void start() { running_ = true, lap_.reset(); }
-
-    void stop();
-
-    double total_seconds() const { return total_; }
-
-    std::int64_t laps() const { return laps_; }
-
-    /// Mean seconds per recorded lap (0 if no laps yet).
-    double mean_seconds() const
-    {
-        return laps_ == 0 ? 0.0 : total_ / static_cast<double>(laps_);
-    }
-
-private:
-    Timer lap_;
-    double total_ = 0.0;
-    std::int64_t laps_ = 0;
-    bool running_ = false;
 };
 
 }  // namespace bsis

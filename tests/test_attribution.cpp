@@ -926,6 +926,98 @@ TEST_F(AttributionEndToEnd, MidSolveTelemetryFlipLeavesResultsBitwiseEqual)
     }
 }
 
+// ---------------------------------------------------------------------
+// Every sweep the ledger charges to a phase runs inside a span of that
+// phase. A scalar kernel opens the same spans on every iteration, so its
+// span count in a phase is a fixed multiple of the summed iterations,
+// plus the spans its set-up opens once per system.
+// ---------------------------------------------------------------------
+
+struct SpanCountCase {
+    const char* name;
+    SolverType solver;
+    bool fused;
+    bool pipelined;
+    obs::Phase phase;
+    int per_iteration;
+    int per_system;
+};
+
+// Keeps the listed test names stable (the default prints raw bytes).
+void PrintTo(const SpanCountCase& c, std::ostream* os) { *os << c.name; }
+
+class ScalarPhaseSpans : public AttributionEndToEnd,
+                         public ::testing::WithParamInterface<SpanCountCase> {
+};
+
+TEST_P(ScalarPhaseSpans, CountAFixedNumberPerIteration)
+{
+    const auto& c = GetParam();
+    // SPD, so CG and Chebyshev apply. A zero tolerance is never met, so
+    // every system runs all its iterations in full (no early exit skips
+    // the tail of one).
+    SyntheticStencilParams params;
+    params.advection = 0.0;
+    params.perturbation = 0.0;
+    const size_type nbatch = 6;
+    const auto a = make_synthetic_batch(8, 7, StencilKind::nine_point,
+                                        nbatch, params);
+    BatchVector<real_type> b(nbatch, a.rows(), 1.0);
+    BatchVector<real_type> x(nbatch, a.rows());
+    SolverSettings settings;
+    settings.solver = c.solver;
+    settings.fused_kernels = c.fused;
+    settings.pipelined = c.pipelined;
+    settings.tolerance = 0.0;
+    settings.max_iterations = 5;
+    obs::set_metrics_enabled(true);
+    const auto result = solve_batch(a, b, x, settings);
+    obs::set_metrics_enabled(false);
+
+    const std::int64_t iterations = result.log.total_iterations();
+    ASSERT_EQ(iterations, settings.max_iterations * nbatch);
+    EXPECT_EQ(result.phases.calls[static_cast<int>(c.phase)],
+              c.per_iteration * iterations + c.per_system * nbatch)
+        << obs::phase_name(c.phase);
+}
+
+using obs::Phase;
+INSTANTIATE_TEST_SUITE_P(
+    Solvers, ScalarPhaseSpans,
+    ::testing::Values(
+        // x, r and p updates.
+        SpanCountCase{"cg", SolverType::cg, true, false, Phase::update, 3, 0},
+        SpanCountCase{"cg_pipelined", SolverType::cg, true, true,
+                      Phase::update, 3, 0},
+        // x, r/r_hat and p/p_hat updates.
+        SpanCountCase{"bicg", SolverType::bicg, true, false, Phase::update,
+                      3, 0},
+        // u/p, q/t, x and r updates.
+        SpanCountCase{"cgs", SolverType::cgs, true, false, Phase::update, 4,
+                      0},
+        // p, x and r updates.
+        SpanCountCase{"chebyshev", SolverType::chebyshev, true, false,
+                      Phase::update, 3, 0},
+        SpanCountCase{"richardson", SolverType::richardson, true, false,
+                      Phase::update, 1, 0},
+        // p, s, x and r updates; the set-up residual sweep.
+        SpanCountCase{"bicgstab", SolverType::bicgstab, true, false,
+                      Phase::update, 4, 1},
+        SpanCountCase{"bicgstab_pipelined", SolverType::bicgstab, true, true,
+                      Phase::update, 4, 1},
+        // rho, r_hat.v and the t.t/t.s dual dot.
+        SpanCountCase{"bicgstab_reduction", SolverType::bicgstab, true,
+                      false, Phase::reduction, 3, 0},
+        // r_hat.v and dot4; the first rho.
+        SpanCountCase{"bicgstab_pipelined_reduction", SolverType::bicgstab,
+                      true, true, Phase::reduction, 2, 1},
+        // rho, r_hat.v, ||s||, t.t, t.s and ||r||; the set-up ||r||.
+        SpanCountCase{"bicgstab_unfused_reduction", SolverType::bicgstab,
+                      false, false, Phase::reduction, 6, 1}),
+    [](const ::testing::TestParamInfo<SpanCountCase>& info) {
+        return std::string(info.param.name);
+    });
+
 TEST_F(AttributionEndToEnd, TraceDropGaugeAndWarnOnce)
 {
     obs::trace().set_shard_capacity(4);

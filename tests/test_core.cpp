@@ -288,14 +288,14 @@ TEST(SolverValidation, RejectsNegativeSettings)
 TEST(BatchLogTest, AggregatesAreConsistent)
 {
     BatchLog log(3);
-    log.record(0, 5, 1e-11, true);
-    log.record(1, 30, 2e-11, true);
-    log.record(2, 12, 3e-11, true);
+    log.record(0, 5, 1e-11, true, FailureClass::converged);
+    log.record(1, 30, 2e-11, true, FailureClass::converged);
+    log.record(2, 12, 3e-11, true, FailureClass::converged);
     EXPECT_EQ(log.total_iterations(), 47);
     EXPECT_EQ(log.max_iterations(), 30);
     EXPECT_NEAR(log.mean_iterations(), 47.0 / 3.0, 1e-12);
     EXPECT_TRUE(log.all_converged());
-    log.record(2, 500, 1e-3, false);
+    log.record(2, 500, 1e-3, false, FailureClass::max_iters);
     EXPECT_FALSE(log.all_converged());
 }
 
@@ -314,11 +314,11 @@ TEST(BatchLogStageTest, MergesOutOfOrderRecordsToTheRightSystems)
     // Threads finish systems in arbitrary order; the merge must land
     // every staged record at its own system index regardless.
     BatchLogStage stage(3);
-    stage.record(2, 4, 40, 4e-11, true);
-    stage.record(0, 1, 10, 1e-11, true);
-    stage.record(1, 3, 30, 3e-11, false);
-    stage.record(2, 0, 5, 5e-12, true);
-    stage.record(0, 2, 20, 2e-11, true);
+    stage.record(2, 4, 40, 4e-11, true, FailureClass::converged);
+    stage.record(0, 1, 10, 1e-11, true, FailureClass::converged);
+    stage.record(1, 3, 30, 3e-11, false, FailureClass::max_iters);
+    stage.record(2, 0, 5, 5e-12, true, FailureClass::converged);
+    stage.record(0, 2, 20, 2e-11, true, FailureClass::converged);
 
     BatchLog log(5);
     stage.merge_into(log);
@@ -338,10 +338,12 @@ TEST(BatchLogStageTest, DuplicateRecordsLastWriteWins)
     // Within a thread, a later record of the same system supersedes the
     // earlier one; across threads, the higher thread index merges later.
     BatchLogStage stage(2);
-    stage.record(0, 0, 3, 1e-3, false);
-    stage.record(0, 0, 7, 1e-11, true);  // same thread, later record
-    stage.record(0, 1, 9, 2e-11, true);
-    stage.record(1, 1, 11, 5e-12, true);  // later thread wins on merge
+    stage.record(0, 0, 3, 1e-3, false, FailureClass::max_iters);
+    // Same thread, later record:
+    stage.record(0, 0, 7, 1e-11, true, FailureClass::converged);
+    stage.record(0, 1, 9, 2e-11, true, FailureClass::converged);
+    // Later thread wins on merge:
+    stage.record(1, 1, 11, 5e-12, true, FailureClass::converged);
 
     BatchLog log(2);
     stage.merge_into(log);

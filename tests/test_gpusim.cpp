@@ -388,55 +388,6 @@ TEST_F(SimtTraceFixture, FullBicgstabTraceMatchesTableTwoShape)
     EXPECT_GT(mem_csr.l2_stats().accesses, 0);
 }
 
-TEST_F(SimtTraceFixture, MultiThreadPerRowHelpsWideRows)
-{
-    // Build a WIDE-row ELL pattern (64 nnz/row, 128 rows): one thread per
-    // row serializes 64 slot rounds, four threads per row cut the
-    // dependent rounds ~4x at nearly the same utilization (Section IV-E's
-    // "multiple threads working on one row").
-    const index_type rows = 128;
-    const index_type width = 64;
-    std::vector<index_type> cols(static_cast<std::size_t>(rows) * width);
-    for (index_type k = 0; k < width; ++k) {
-        for (index_type r = 0; r < rows; ++r) {
-            cols[static_cast<std::size_t>(k) * rows + r] =
-                (r + k) % rows;
-        }
-    }
-    const auto map = AddressMap::for_system(0, rows, rows * width, 0);
-
-    MemoryHierarchy mem1(128 * 1024, 6 * 1024 * 1024);
-    BlockTracer single(rows, 32, &mem1);
-    trace_spmv_ell(single, map, rows, width, cols, shared_space,
-                   shared_space);
-    MemoryHierarchy mem4(128 * 1024, 6 * 1024 * 1024);
-    BlockTracer multi(rows, 32, &mem4);
-    trace_spmv_ell_multi(multi, map, rows, width, cols, 4, shared_space,
-                         shared_space);
-
-    // Same work, fewer dependent warp rounds per row chain.
-    EXPECT_GT(multi.counters().warp_utilization(32), 0.5);
-    // The multi-thread variant issues fewer instructions per covered row
-    // chain: compare instructions normalized by parallelism (1 row/lane
-    // vs 8 rows/warp): total instruction count is similar, but the
-    // DEPENDENT chain per row shrinks by ~threads_per_row. Proxy check:
-    // the multi variant's instruction count stays within 2x of single
-    // while covering each row with 4 lanes.
-    EXPECT_LT(multi.counters().warp_instructions,
-              2 * single.counters().warp_instructions);
-    EXPECT_EQ(multi.counters().flops >= single.counters().flops, true);
-}
-
-TEST_F(SimtTraceFixture, MultiThreadPerRowValidatesGeometry)
-{
-    MemoryHierarchy mem(128 * 1024, 6 * 1024 * 1024);
-    BlockTracer tracer(992, 32, &mem);
-    const auto map = AddressMap::for_system(0, 992, 8928, 0);
-    EXPECT_THROW(trace_spmv_ell_multi(tracer, map, 992, 9, ell_.col_idxs(),
-                                      5, shared_space, shared_space),
-                 BadArgument);
-}
-
 TEST(AddressMapTest, SharedPatternSameAcrossSystems)
 {
     const auto m0 = AddressMap::for_system(0, 992, 8928, 3);

@@ -220,82 +220,6 @@ TEST(DenseLu, SolveAndTransposeSolve)
     }
 }
 
-TEST(DenseQr, AgreesWithLuSolve)
-{
-    const index_type n = 10;
-    Rng rng(21);
-    std::vector<real_type> a(static_cast<std::size_t>(n) * n);
-    for (auto& v : a) {
-        v = rng.uniform(-1.0, 1.0);
-    }
-    for (index_type i = 0; i < n; ++i) {
-        a[static_cast<std::size_t>(i) * n + i] += n;
-    }
-    std::vector<real_type> b(static_cast<std::size_t>(n));
-    for (auto& v : b) {
-        v = rng.uniform(-1.0, 1.0);
-    }
-    auto a_lu = a;
-    auto a_qr = a;
-    auto x_lu = b;
-    auto x_qr = b;
-    lapack::gesv(DenseView<real_type>{a_lu.data(), n, n},
-                 VecView<real_type>{x_lu.data(), n});
-    lapack::geqrs(DenseView<real_type>{a_qr.data(), n, n},
-                  VecView<real_type>{x_qr.data(), n});
-    for (index_type i = 0; i < n; ++i) {
-        EXPECT_NEAR(x_lu[static_cast<std::size_t>(i)],
-                    x_qr[static_cast<std::size_t>(i)], 1e-10);
-    }
-}
-
-TEST(DenseLu, BatchedDriverSolvesEverySystem)
-{
-    const index_type n = 24;
-    const size_type nbatch = 5;
-    BatchDense<real_type> a(nbatch, n, n);
-    BatchDense<real_type> a_copy(nbatch, n, n);
-    BatchVector<real_type> x(nbatch, n);
-    std::vector<std::vector<real_type>> rhs;
-    Rng rng(61);
-    for (size_type b = 0; b < nbatch; ++b) {
-        auto d = a.entry(b);
-        auto dc = a_copy.entry(b);
-        for (index_type i = 0; i < n; ++i) {
-            real_type off = 0;
-            for (index_type j = 0; j < n; ++j) {
-                if (i != j) {
-                    d(i, j) = rng.uniform(-1.0, 1.0);
-                    off += std::abs(d(i, j));
-                }
-            }
-            d(i, i) = off + 1;
-            for (index_type j = 0; j < n; ++j) {
-                dc(i, j) = d(i, j);
-            }
-        }
-        rhs.emplace_back(static_cast<std::size_t>(n));
-        auto xv = x.entry(b);
-        for (index_type i = 0; i < n; ++i) {
-            rhs.back()[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0);
-            xv[i] = rhs.back()[static_cast<std::size_t>(i)];
-        }
-    }
-    lapack::batch_gesv(a, x);
-    for (size_type b = 0; b < nbatch; ++b) {
-        const auto d = a_copy.entry(b);
-        for (index_type i = 0; i < n; ++i) {
-            real_type sum = 0;
-            for (index_type j = 0; j < n; ++j) {
-                sum += d(i, j) * x.entry(b)[j];
-            }
-            EXPECT_NEAR(sum, rhs[static_cast<std::size_t>(b)]
-                                [static_cast<std::size_t>(i)],
-                        1e-11);
-        }
-    }
-}
-
 TEST(Eigen, DiagonalMatrixEigenvaluesExact)
 {
     const index_type n = 5;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "matrix/batch_banded.hpp"
@@ -298,16 +297,6 @@ TEST(Stats, SparseFormatsBeatDenseAndCrossOverEachOther)
                 0.05 * static_cast<double>(one.csr_bytes));
     const auto many = storage_cost(992, nnz, 9, 1000);
     EXPECT_GT(many.ell_bytes, many.csr_bytes);
-}
-
-TEST(Stats, PrintPatternShowsDiagonal)
-{
-    auto csr = make_synthetic_batch(4, 4, StencilKind::five_point, 1, {});
-    std::ostringstream os;
-    print_pattern(os, csr, 16);
-    const auto text = os.str();
-    EXPECT_EQ(text[0], '*');  // (0,0) occupied
-    EXPECT_NE(text.find('.'), std::string::npos);
 }
 
 TEST(ExtractDiagonal, CsrAndEllAgree)

@@ -65,39 +65,6 @@ void buggy_dot_no_barrier(BlockTracer& tracer, index_type n,
     tracer.barrier();
 }
 
-TEST(SanitizerCounters, CountOnlyShimsMatchAddressedOverloads)
-{
-    // The deprecated count-only shared accessors must produce EXACTLY the
-    // counters of the addressed overloads: one warp instruction and one
-    // shared access per active lane, counted once (no double counting).
-    auto mem_a = test_mem();
-    auto mem_b = test_mem();
-    BlockTracer counted(64, 32, &mem_a);
-    BlockTracer addressed(64, 32, &mem_b);
-
-    counted.load_shared(7);
-    counted.store_shared(5);
-
-    std::vector<std::uint64_t> loads(7), stores(5);
-    for (std::size_t i = 0; i < loads.size(); ++i) {
-        loads[i] = i * sizeof(real_type);
-    }
-    for (std::size_t i = 0; i < stores.size(); ++i) {
-        stores[i] = (64 + i) * sizeof(real_type);
-    }
-    addressed.load_shared(loads, sizeof(real_type));
-    addressed.store_shared(stores, sizeof(real_type));
-
-    EXPECT_EQ(counted.counters().warp_instructions, 2);
-    EXPECT_EQ(counted.counters().shared_accesses, 12);
-    EXPECT_EQ(counted.counters().warp_instructions,
-              addressed.counters().warp_instructions);
-    EXPECT_EQ(counted.counters().shared_accesses,
-              addressed.counters().shared_accesses);
-    EXPECT_EQ(counted.counters().active_lane_sum,
-              addressed.counters().active_lane_sum);
-}
-
 TEST(SanitizerRaces, MissingBarrierReductionIsFlaggedWithAttribution)
 {
     auto mem = test_mem();
@@ -354,8 +321,6 @@ TEST_P(CleanKernels, StandaloneKernelsClean)
     trace_spmv_csr(tracer, map, pattern_.row_ptrs, pattern_.col_idxs, x, y);
     trace_spmv_ell(tracer, map, rows, ell_.nnz_per_row(), ell_.col_idxs(),
                    x, y);
-    trace_spmv_ell_multi(tracer, map, rows, ell_.nnz_per_row(),
-                         ell_.col_idxs(), 4, x, y);
     trace_dot(tracer, rows, x, y, scratch);
     trace_dot(tracer, rows, z, z, scratch);  // norm; scratch reuse is clean
     trace_dot2(tracer, rows, x, x, y, scratch);  // dual-dot, 2 slots/warp

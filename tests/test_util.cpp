@@ -65,27 +65,6 @@ TEST(Timer, ResetRestartsTheClock)
     EXPECT_LT(timer.seconds(), 0.005);
 }
 
-TEST(StopWatch, AccumulatesLaps)
-{
-    StopWatch watch;
-    for (int i = 0; i < 3; ++i) {
-        watch.start();
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        watch.stop();
-    }
-    EXPECT_EQ(watch.laps(), 3);
-    EXPECT_GE(watch.total_seconds(), 0.005);
-    EXPECT_NEAR(watch.mean_seconds(), watch.total_seconds() / 3, 1e-12);
-}
-
-TEST(StopWatch, StopWithoutStartIsIgnored)
-{
-    StopWatch watch;
-    watch.stop();
-    EXPECT_EQ(watch.laps(), 0);
-    EXPECT_EQ(watch.total_seconds(), 0.0);
-}
-
 TEST(Rng, DeterministicForEqualSeeds)
 {
     Rng a(123);
