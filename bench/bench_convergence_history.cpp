@@ -3,13 +3,14 @@
 // logging capability of the paper's Listing 1 LogType). The ion residual
 // collapses in a handful of iterations (spectrum clustered at 1); the
 // electron takes ~30 with the characteristic BiCGStab irregularity.
+#include <algorithm>
 #include <iostream>
-#include <vector>
 
 #include "common.hpp"
 #include "core/bicgstab.hpp"
 #include "core/precond.hpp"
 #include "core/stop.hpp"
+#include "obs/convergence.hpp"
 
 int main()
 {
@@ -18,7 +19,9 @@ int main()
     auto ell = to_ell(problem.a);
 
     Table table({"iteration", "ion_residual", "electron_residual"});
-    std::vector<std::vector<real_type>> histories(2);
+    // Room for all 501 iteration boundaries, so nothing is thinned out.
+    obs::ConvergenceHistory history;
+    history.reset(2, 512);
     Workspace ws(problem.a.rows(), bicgstab_work_vectors + 1);
     for (size_type sys = 0; sys < 2; ++sys) {
         BatchVector<real_type> x(1, problem.a.rows());
@@ -26,19 +29,19 @@ int main()
         prec.generate(ell.entry(sys), ws.slot(bicgstab_work_vectors));
         const auto result = bicgstab_kernel(
             ell.entry(sys), problem.rhs().entry(sys), x.entry(0), prec,
-            AbsResidualStop{1e-10}, 500, ws, 0,
-            &histories[static_cast<std::size_t>(sys)]);
+            AbsResidualStop{1e-10}, 500, ws, 0, {&history, sys});
         std::cout << (sys == 0 ? "ion" : "electron") << ": "
                   << result.iterations << " iterations, final residual "
                   << result.residual_norm << "\n";
     }
     const std::size_t len =
-        std::max(histories[0].size(), histories[1].size());
+        std::max(history.points(0).size(), history.points(1).size());
     for (std::size_t it = 0; it < len; ++it) {
         table.new_row().add(static_cast<std::int64_t>(it));
-        for (const auto& h : histories) {
-            if (it < h.size()) {
-                table.add(h[it], 6);
+        for (size_type sys = 0; sys < 2; ++sys) {
+            const auto& points = history.points(sys);
+            if (it < points.size()) {
+                table.add(points[it].residual, 6);
             } else {
                 table.add("-");
             }

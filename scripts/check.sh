@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Hardened check tier: build with -Werror, run the sanitizer-labeled
 # tests, the observability (telemetry) tests and the other labelled tiers,
-# the concurrency tests under ThreadSanitizer and the reachability lint,
-# then run the solver example suite under --sanitize. Any SIMT sanitizer
-# finding (shared race, barrier divergence, out-of-bounds access),
-# ThreadSanitizer report or src/ function that no bench, tool or example
-# links (unless allowlisted) fails the script.
+# the concurrency tests under ThreadSanitizer, the whole suite under
+# AddressSanitizer and UndefinedBehaviorSanitizer, and the reachability
+# lint, then run the solver example suite under --sanitize. Any SIMT
+# sanitizer finding (shared race, barrier divergence, out-of-bounds
+# access), ThreadSanitizer, AddressSanitizer or UBSan report, or src/
+# function that no bench, tool or example links (unless allowlisted) fails
+# the script.
 #
 # Usage: scripts/check.sh            (build dir defaults to ./build)
 #        BUILD_DIR=out scripts/check.sh
@@ -145,6 +147,21 @@ tsan_run test_attribution \
 tsan_run test_obs 'Metrics.ShardedRecordingMergesExactlyAcrossThreads:Metrics.GaugeMergeKeepsTheLatestWriteAcrossShards:Trace.ClearWhileOtherThreadsRecord' 3
 tsan_run test_xgc \
     'Workload.ConcurrentAssemblyMatchesSerial:CollisionOperator.SharedOperatorAssemblesConcurrently' 2
+
+# AddressSanitizer + UndefinedBehaviorSanitizer: the whole ctest suite in
+# a fourth build dir compiled and linked with -fsanitize=address,undefined.
+# -fno-sanitize-recover=undefined makes a UBSan finding abort like an ASan
+# one (and LeakSanitizer exits nonzero on a leak), so any report fails its
+# test and the tier. The bench harness stays on: the perf smoke test runs
+# bench_regression.
+echo "== address + undefined-behavior sanitizer tier =="
+ASAN_DIR="$BUILD_DIR-asan"
+ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+cmake -B "$ASAN_DIR" -S . -DBSIS_BUILD_EXAMPLES=OFF -DBSIS_BUILD_TOOLS=OFF \
+    "-DCMAKE_CXX_FLAGS=$ASAN_FLAGS -g" \
+    "-DCMAKE_EXE_LINKER_FLAGS=$ASAN_FLAGS"
+cmake --build "$ASAN_DIR" -j "$(nproc)"
+ctest --test-dir "$ASAN_DIR" -j "$(nproc)" --output-on-failure
 
 # Reachability: every out-of-line src/ function must be linked by a bench,
 # tool or example binary, or be listed with its reason in

@@ -62,16 +62,6 @@ inline void axpby(T alpha, ConstVecView<T> x, T beta, VecView<T> y)
     }
 }
 
-/// z := x - y
-template <typename T>
-inline void sub(ConstVecView<T> x, ConstVecView<T> y, VecView<T> z)
-{
-    BSIS_ASSERT(x.len == y.len && y.len == z.len);
-    for (index_type i = 0; i < x.len; ++i) {
-        z[i] = x[i] - y[i];
-    }
-}
-
 /// Dot product x . y (unconjugated; the library is real-valued).
 template <typename T>
 inline T dot(ConstVecView<T> x, ConstVecView<T> y)
@@ -89,17 +79,6 @@ template <typename T>
 inline T nrm2(ConstVecView<T> x)
 {
     return std::sqrt(dot(x, x));
-}
-
-/// Max norm ||x||_inf.
-template <typename T>
-inline T nrm_inf(ConstVecView<T> x)
-{
-    T m{};
-    for (index_type i = 0; i < x.len; ++i) {
-        m = std::max(m, std::abs(x[i]));
-    }
-    return m;
 }
 
 /// z := x .* y (Hadamard product; scalar-Jacobi application).
@@ -291,18 +270,6 @@ inline void axpby2(T alpha, ConstVecView<T> x1, ConstVecView<T> x2, T beta,
 // W is a compile-time parameter: the lane loop has constant trip count, so
 // `#pragma omp simd` turns it into straight vector code.
 
-/// x(:, l) := alpha[l] for all lanes.
-template <int W, typename T>
-inline void fill_lanes(T* x, index_type n, const T* alpha)
-{
-    for (index_type i = 0; i < n; ++i) {
-#pragma omp simd
-        for (int l = 0; l < W; ++l) {
-            x[i * W + l] = alpha[l];
-        }
-    }
-}
-
 /// z(:, l) := alpha[l] * x(:, l) + beta[l] * y(:, l) + gamma[l] * z(:, l).
 template <int W, typename T>
 inline void axpbypcz_lanes(const T* alpha, const T* x, const T* beta,
@@ -490,21 +457,6 @@ inline void copy_lanes(const T* x, const T* mask, T* z, index_type n)
         for (int l = 0; l < W; ++l) {
             z[i * W + l] = mask[l] != T{0} ? x[i * W + l] : z[i * W + l];
         }
-    }
-}
-
-/// Dense matrix-vector product y := A x for a row-major n x n block.
-template <typename T>
-inline void gemv(index_type n, const T* a, ConstVecView<T> x, VecView<T> y)
-{
-    BSIS_ASSERT(x.len == n && y.len == n);
-    for (index_type r = 0; r < n; ++r) {
-        T sum{};
-        const T* row = a + static_cast<std::size_t>(r) * n;
-        for (index_type c = 0; c < n; ++c) {
-            sum += row[c] * x[c];
-        }
-        y[r] = sum;
     }
 }
 

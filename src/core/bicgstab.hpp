@@ -15,12 +15,12 @@
 // the reference for the fusion A/B tests and benches.
 #pragma once
 
-#include <cmath>
-#include <vector>
-
 #include "blas/kernels.hpp"
+#include "core/failure.hpp"
 #include "core/pipelined.hpp"
+#include "core/residual.hpp"
 #include "core/workspace.hpp"
+#include "obs/convergence.hpp"
 #include "obs/telemetry.hpp"
 #include "util/types.hpp"
 
@@ -36,9 +36,9 @@ inline constexpr int bicgstab_work_vectors = 8;
 /// on exit. `prec` must already be generated for this system's matrix.
 /// Returns the iteration count, the final residual norm, and whether the
 /// stopping criterion was met within `max_iters` iterations.
-/// `history`, when non-null, receives the residual norm at the top of
-/// every iteration (the per-system logging of the paper's Listing 1
-/// LogType) -- see the convergence-history benchmark.
+/// `history` records the residual norm at the top of every iteration (the
+/// per-system logging of the paper's Listing 1 LogType) -- see the
+/// convergence-history benchmark.
 ///
 /// `Pipelined` selects the pipelined recurrences (core/pipelined.hpp): the
 /// standalone reductions per iteration drop from three to two (the
@@ -51,7 +51,7 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
                             VecView<real_type> x, const Prec& prec,
                             const Stop& stop, int max_iters, Workspace& ws,
                             int work_offset = 0,
-                            std::vector<real_type>* history = nullptr)
+                            obs::HistorySink history = {})
 {
     auto r = ws.slot(work_offset + 0);
     auto r_hat = ws.slot(work_offset + 1);
@@ -66,15 +66,17 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
 
     // r = b - A x fused with ||r||; with a zero guess this reduces to
     // r = b. The sweep writes over the A x it reads (aliasing is safe:
-    // each element is read before it is written).
+    // each element is read before it is written). Then r_hat = r and
+    // p = v = 0, update sweeps too.
     obs::traced(obs::Phase::spmv, "spmv", [&] { spmv(a, ConstVecView<real_type>(x), r); });
     real_type r_norm = obs::traced(obs::Phase::update, "update", [&] {
-        return blas::zaxpby_nrm2(real_type{1}, b, real_type{-1},
-                                 ConstVecView<real_type>(r), r);
+        const real_type norm = blas::zaxpby_nrm2(
+            real_type{1}, b, real_type{-1}, ConstVecView<real_type>(r), r);
+        blas::copy(ConstVecView<real_type>(r), r_hat);
+        blas::fill(p, real_type{0});
+        blas::fill(v, real_type{0});
+        return norm;
     });
-    blas::copy(ConstVecView<real_type>(r), r_hat);
-    blas::fill(p, real_type{0});
-    blas::fill(v, real_type{0});
 
     const real_type r0 = r_norm;
     real_type rho_old = 1;
@@ -91,19 +93,18 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
         });
     }
 
-    if (history != nullptr) {
-        history->clear();
-        history->push_back(r_norm);
-    }
-    for (int iter = 0; iter < max_iters; ++iter) {
-        if (stop.done(r_norm, b_norm)) {
-            return {iter, r_norm, true, FailureClass::converged};
-        }
-        if (!std::isfinite(r_norm)) {
-            // Poisoned operands (NaN/Inf in A, b, or the guess) can never
-            // converge: abandon the system promptly instead of spinning to
-            // the iteration limit.
-            return {iter, r_norm, false, FailureClass::non_finite};
+    // x += alpha p_hat: the update of an iteration that ends at s.
+    const auto finish_at_s = [&] {
+        obs::traced(obs::Phase::update, "update", [&] {
+            blas::axpy(alpha, ConstVecView<real_type>(p_hat), x);
+        });
+    };
+
+    for (int iter = 0;; ++iter) {
+        history.record(iter, r_norm);
+        if (const auto exit =
+                loop_exit(stop, iter, max_iters, r_norm, b_norm, r0)) {
+            return *exit;
         }
         if constexpr (!Pipelined) {
             rho = obs::traced(obs::Phase::reduction, "reduction", [&] {
@@ -145,7 +146,7 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
                                      ConstVecView<real_type>(v), s);
         });
         if (stop.done(s_norm, b_norm)) {
-            blas::axpy(alpha, ConstVecView<real_type>(p_hat), x);
+            finish_at_s();
             return {iter + 1, s_norm, true, FailureClass::converged};
         }
         obs::traced(obs::Phase::precond, "precond_apply",
@@ -172,7 +173,7 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
             }
         });
         if (t_t == real_type{0}) {
-            blas::axpy(alpha, ConstVecView<real_type>(p_hat), x);
+            finish_at_s();
             r_norm = s_norm;
             const bool done = stop.done(r_norm, b_norm);
             return {iter + 1, r_norm, done,
@@ -204,14 +205,6 @@ EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
                                          ConstVecView<real_type>(t), r);
             });
         }
-        if (history != nullptr) {
-            history->push_back(r_norm);
-        }
-    }
-    {
-        const bool done = stop.done(r_norm, b_norm);
-        return {max_iters, r_norm, done,
-                classify_exhausted(r_norm, r0, done)};
     }
 }
 
@@ -224,7 +217,7 @@ template <typename MatrixView, typename Prec, typename Stop>
 EntryResult bicgstab_kernel_unfused(
     const MatrixView& a, ConstVecView<real_type> b, VecView<real_type> x,
     const Prec& prec, const Stop& stop, int max_iters, Workspace& ws,
-    int work_offset = 0, std::vector<real_type>* history = nullptr)
+    int work_offset = 0, obs::HistorySink history = {})
 {
     auto r = ws.slot(work_offset + 0);
     auto r_hat = ws.slot(work_offset + 1);
@@ -238,30 +231,28 @@ EntryResult bicgstab_kernel_unfused(
     const real_type b_norm = blas::nrm2(b);
 
     // r = b - A x; with a zero guess this reduces to r = b.
-    obs::traced(obs::Phase::spmv, "spmv", [&] { spmv(a, ConstVecView<real_type>(x), r); });
-    blas::axpby(real_type{1}, b, real_type{-1}, r);
-    blas::copy(ConstVecView<real_type>(r), r_hat);
-    blas::fill(p, real_type{0});
-    blas::fill(v, real_type{0});
-
+    real_type r_norm = residual(a, b, ConstVecView<real_type>(x), r);
+    obs::traced(obs::Phase::update, "update", [&] {
+        blas::copy(ConstVecView<real_type>(r), r_hat);
+        blas::fill(p, real_type{0});
+        blas::fill(v, real_type{0});
+    });
+    const real_type r0 = r_norm;
     real_type rho_old = 1;
     real_type omega = 1;
     real_type alpha = 1;
-    real_type r_norm = obs::traced(
-        obs::Phase::reduction, "reduction",
-        [&] { return blas::nrm2(ConstVecView<real_type>(r)); });
-    const real_type r0 = r_norm;
+    // x += alpha p_hat: the update of an iteration that ends at s.
+    const auto finish_at_s = [&] {
+        obs::traced(obs::Phase::update, "update", [&] {
+            blas::axpy(alpha, ConstVecView<real_type>(p_hat), x);
+        });
+    };
 
-    if (history != nullptr) {
-        history->clear();
-        history->push_back(r_norm);
-    }
-    for (int iter = 0; iter < max_iters; ++iter) {
-        if (stop.done(r_norm, b_norm)) {
-            return {iter, r_norm, true, FailureClass::converged};
-        }
-        if (!std::isfinite(r_norm)) {
-            return {iter, r_norm, false, FailureClass::non_finite};
+    for (int iter = 0;; ++iter) {
+        history.record(iter, r_norm);
+        if (const auto exit =
+                loop_exit(stop, iter, max_iters, r_norm, b_norm, r0)) {
+            return *exit;
         }
         const real_type rho = obs::traced(obs::Phase::reduction, "reduction", [&] {
             return blas::dot(ConstVecView<real_type>(r),
@@ -300,7 +291,7 @@ EntryResult bicgstab_kernel_unfused(
             return blas::nrm2(ConstVecView<real_type>(s));
         });
         if (stop.done(s_norm, b_norm)) {
-            blas::axpy(alpha, ConstVecView<real_type>(p_hat), x);
+            finish_at_s();
             return {iter + 1, s_norm, true, FailureClass::converged};
         }
         obs::traced(obs::Phase::precond, "precond_apply",
@@ -316,7 +307,7 @@ EntryResult bicgstab_kernel_unfused(
                              ConstVecView<real_type>(s));
         });
         if (t_t == real_type{0}) {
-            blas::axpy(alpha, ConstVecView<real_type>(p_hat), x);
+            finish_at_s();
             r_norm = s_norm;
             const bool done = stop.done(r_norm, b_norm);
             return {iter + 1, r_norm, done,
@@ -338,14 +329,6 @@ EntryResult bicgstab_kernel_unfused(
             return blas::nrm2(ConstVecView<real_type>(r));
         });
         rho_old = rho;
-        if (history != nullptr) {
-            history->push_back(r_norm);
-        }
-    }
-    {
-        const bool done = stop.done(r_norm, b_norm);
-        return {max_iters, r_norm, done,
-                classify_exhausted(r_norm, r0, done)};
     }
 }
 

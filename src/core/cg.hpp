@@ -6,12 +6,12 @@
 // (Section IV-B) and the reference solver for SPD test problems.
 #pragma once
 
-#include <cmath>
-#include <vector>
-
 #include "blas/kernels.hpp"
+#include "core/failure.hpp"
 #include "core/pipelined.hpp"
+#include "core/residual.hpp"
 #include "core/workspace.hpp"
+#include "obs/convergence.hpp"
 #include "obs/telemetry.hpp"
 #include "util/types.hpp"
 
@@ -20,9 +20,9 @@ namespace bsis {
 /// Scratch vectors: r, z, p, q.
 inline constexpr int cg_work_vectors = 4;
 
-/// Solves A x = b with preconditioned CG. `history`, when non-null,
-/// receives the residual norm at the top of every iteration (same
-/// contract as `bicgstab_kernel`).
+/// Solves A x = b with preconditioned CG. `history` records the residual
+/// norm at the top of every iteration (same contract as
+/// `bicgstab_kernel`).
 ///
 /// `Pipelined` selects the pipelined recurrences (core/pipelined.hpp): one
 /// dot3_nrm2 reduction sweep per iteration, with the r.z dot folded into
@@ -35,8 +35,7 @@ template <bool Pipelined = false, typename MatrixView, typename Prec,
 EntryResult cg_kernel(const MatrixView& a, ConstVecView<real_type> b,
                       VecView<real_type> x, const Prec& prec,
                       const Stop& stop, int max_iters, Workspace& ws,
-                      int work_offset = 0,
-                      std::vector<real_type>* history = nullptr)
+                      int work_offset = 0, obs::HistorySink history = {})
 {
     auto r = ws.slot(work_offset + 0);
     auto z = ws.slot(work_offset + 1);
@@ -62,26 +61,17 @@ EntryResult cg_kernel(const MatrixView& a, ConstVecView<real_type> b,
         }
     };
 
-    obs::traced(obs::Phase::spmv, "spmv", [&] { spmv(a, ConstVecView<real_type>(x), r); });
-    blas::axpby(real_type{1}, b, real_type{-1}, r);
-    real_type r_norm = obs::traced(
-        obs::Phase::reduction, "reduction",
-        [&] { return blas::nrm2(ConstVecView<real_type>(r)); });
-
+    real_type r_norm = residual(a, b, ConstVecView<real_type>(x), r);
     real_type rz = precondition();
-    blas::copy(ConstVecView<real_type>(z), p);
+    obs::traced(obs::Phase::update, "update",
+                [&] { blas::copy(ConstVecView<real_type>(z), p); });
     const real_type r0 = r_norm;
 
-    if (history != nullptr) {
-        history->clear();
-        history->push_back(r_norm);
-    }
-    for (int iter = 0; iter < max_iters; ++iter) {
-        if (stop.done(r_norm, b_norm)) {
-            return {iter, r_norm, true, FailureClass::converged};
-        }
-        if (!std::isfinite(r_norm)) {
-            return {iter, r_norm, false, FailureClass::non_finite};
+    for (int iter = 0;; ++iter) {
+        history.record(iter, r_norm);
+        if (const auto exit =
+                loop_exit(stop, iter, max_iters, r_norm, b_norm, r0)) {
+            return *exit;
         }
         if (rz == real_type{0}) {
             // The search direction collapsed: alpha = rz / pq undefined.
@@ -136,14 +126,6 @@ EntryResult cg_kernel(const MatrixView& a, ConstVecView<real_type> b,
             blas::axpby(real_type{1}, ConstVecView<real_type>(z), beta, p);
         });
         rz = rz_new;
-        if (history != nullptr) {
-            history->push_back(r_norm);
-        }
-    }
-    {
-        const bool done = stop.done(r_norm, b_norm);
-        return {max_iters, r_norm, done,
-                classify_exhausted(r_norm, r0, done)};
     }
 }
 

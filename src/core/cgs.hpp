@@ -7,11 +7,11 @@
 // the collision matrices.
 #pragma once
 
-#include <cmath>
-#include <vector>
-
 #include "blas/kernels.hpp"
+#include "core/failure.hpp"
+#include "core/residual.hpp"
 #include "core/workspace.hpp"
+#include "obs/convergence.hpp"
 #include "obs/telemetry.hpp"
 #include "util/types.hpp"
 
@@ -20,14 +20,13 @@ namespace bsis {
 /// Scratch vectors: r, r_hat, u, p, q, u_hat, v, t.
 inline constexpr int cgs_work_vectors = 8;
 
-/// `history`, when non-null, receives the residual norm at the top of
-/// every iteration (same contract as `bicgstab_kernel`).
+/// `history` records the residual norm at the top of every iteration
+/// (same contract as `bicgstab_kernel`).
 template <typename MatrixView, typename Prec, typename Stop>
 EntryResult cgs_kernel(const MatrixView& a, ConstVecView<real_type> b,
                        VecView<real_type> x, const Prec& prec,
                        const Stop& stop, int max_iters, Workspace& ws,
-                       int work_offset = 0,
-                       std::vector<real_type>* history = nullptr)
+                       int work_offset = 0, obs::HistorySink history = {})
 {
     auto r = ws.slot(work_offset + 0);
     auto r_hat = ws.slot(work_offset + 1);
@@ -40,25 +39,17 @@ EntryResult cgs_kernel(const MatrixView& a, ConstVecView<real_type> b,
 
     const real_type b_norm = blas::nrm2(b);
 
-    obs::traced(obs::Phase::spmv, "spmv", [&] { spmv(a, ConstVecView<real_type>(x), r); });
-    blas::axpby(real_type{1}, b, real_type{-1}, r);
-    blas::copy(ConstVecView<real_type>(r), r_hat);
-    real_type r_norm = obs::traced(
-        obs::Phase::reduction, "reduction",
-        [&] { return blas::nrm2(ConstVecView<real_type>(r)); });
+    real_type r_norm = residual(a, b, ConstVecView<real_type>(x), r);
+    obs::traced(obs::Phase::update, "update",
+                [&] { blas::copy(ConstVecView<real_type>(r), r_hat); });
     const real_type r0 = r_norm;
     real_type rho_old = 1;
 
-    if (history != nullptr) {
-        history->clear();
-        history->push_back(r_norm);
-    }
-    for (int iter = 0; iter < max_iters; ++iter) {
-        if (stop.done(r_norm, b_norm)) {
-            return {iter, r_norm, true, FailureClass::converged};
-        }
-        if (!std::isfinite(r_norm)) {
-            return {iter, r_norm, false, FailureClass::non_finite};
+    for (int iter = 0;; ++iter) {
+        history.record(iter, r_norm);
+        if (const auto exit =
+                loop_exit(stop, iter, max_iters, r_norm, b_norm, r0)) {
+            return *exit;
         }
         const real_type rho = obs::traced(obs::Phase::reduction, "reduction", [&] {
             return blas::dot(ConstVecView<real_type>(r_hat),
@@ -116,14 +107,6 @@ EntryResult cgs_kernel(const MatrixView& a, ConstVecView<real_type> b,
             return blas::axpy_nrm2(-alpha, ConstVecView<real_type>(t), r);
         });
         rho_old = rho;
-        if (history != nullptr) {
-            history->push_back(r_norm);
-        }
-    }
-    {
-        const bool done = stop.done(r_norm, b_norm);
-        return {max_iters, r_norm, done,
-                classify_exhausted(r_norm, r0, done)};
     }
 }
 

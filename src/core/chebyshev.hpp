@@ -8,11 +8,14 @@
 // bounds from Gershgorin discs of the Jacobi-scaled matrix.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "blas/kernels.hpp"
+#include "core/failure.hpp"
+#include "core/residual.hpp"
 #include "core/workspace.hpp"
+#include "obs/convergence.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/types.hpp"
@@ -74,16 +77,16 @@ ChebyshevBounds gershgorin_bounds(const MatrixView& a, Workspace& ws,
 }
 
 /// Preconditioned Chebyshev iteration; `prec` should be the Jacobi
-/// preconditioner matching the bounds' diagonal scaling. `history`, when
-/// non-null, receives the residual norm at the top of every iteration
-/// (same contract as `bicgstab_kernel`).
+/// preconditioner matching the bounds' diagonal scaling. `history` records
+/// the residual norm at the top of every iteration (same contract as
+/// `bicgstab_kernel`).
 template <typename MatrixView, typename Prec, typename Stop>
 EntryResult chebyshev_kernel(const MatrixView& a, ConstVecView<real_type> b,
                              VecView<real_type> x, const Prec& prec,
                              const Stop& stop, int max_iters,
                              const ChebyshevBounds& bounds, Workspace& ws,
                              int work_offset = 0,
-                             std::vector<real_type>* history = nullptr)
+                             obs::HistorySink history = {})
 {
     BSIS_ENSURE_ARG(bounds.eig_min > 0 &&
                         bounds.eig_max >= bounds.eig_min,
@@ -97,24 +100,15 @@ EntryResult chebyshev_kernel(const MatrixView& a, ConstVecView<real_type> b,
     const real_type delta = (bounds.eig_max - bounds.eig_min) / 2;
     const real_type b_norm = blas::nrm2(b);
 
-    obs::traced(obs::Phase::spmv, "spmv", [&] { spmv(a, ConstVecView<real_type>(x), r); });
-    blas::axpby(real_type{1}, b, real_type{-1}, r);
-    real_type r_norm = obs::traced(
-        obs::Phase::reduction, "reduction",
-        [&] { return blas::nrm2(ConstVecView<real_type>(r)); });
+    real_type r_norm = residual(a, b, ConstVecView<real_type>(x), r);
     const real_type r0 = r_norm;
 
-    if (history != nullptr) {
-        history->clear();
-        history->push_back(r_norm);
-    }
     real_type alpha = 0;
-    for (int iter = 0; iter < max_iters; ++iter) {
-        if (stop.done(r_norm, b_norm)) {
-            return {iter, r_norm, true, FailureClass::converged};
-        }
-        if (!std::isfinite(r_norm)) {
-            return {iter, r_norm, false, FailureClass::non_finite};
+    for (int iter = 0;; ++iter) {
+        history.record(iter, r_norm);
+        if (const auto exit =
+                loop_exit(stop, iter, max_iters, r_norm, b_norm, r0)) {
+            return *exit;
         }
         obs::traced(obs::Phase::precond, "precond_apply",
                     [&] { prec.apply(ConstVecView<real_type>(r), z); });
@@ -141,14 +135,6 @@ EntryResult chebyshev_kernel(const MatrixView& a, ConstVecView<real_type> b,
         r_norm = obs::traced(obs::Phase::reduction, "reduction", [&] {
             return blas::nrm2(ConstVecView<real_type>(r));
         });
-        if (history != nullptr) {
-            history->push_back(r_norm);
-        }
-    }
-    {
-        const bool done = stop.done(r_norm, b_norm);
-        return {max_iters, r_norm, done,
-                classify_exhausted(r_norm, r0, done)};
     }
 }
 

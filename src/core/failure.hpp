@@ -5,14 +5,16 @@
 // needs to know WHY a solve failed -- a Krylov breakdown calls for a
 // direct-solve retry, a non-finite residual means the physics assembled a
 // poisoned operator, stagnation points at the preconditioner. Every solver
-// kernel classifies its own exit; the class travels through EntryResult,
-// BatchLogStage, and BatchLog to the obs metrics (`solve.fail.*`) and the
-// flight recorder.
+// kernel classifies its own exit -- the loop-top exits through the one rule
+// `loop_exit`, the algorithm's breakdowns in its body; the class travels
+// through EntryResult, BatchLogStage, and BatchLog to the obs metrics
+// (`solve.fail.*`) and the flight recorder.
 #pragma once
 
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -103,7 +105,8 @@ inline constexpr real_type stagnation_threshold = real_type{0.99};
 
 /// Classifies an iteration-limit exit from the final residual norm and the
 /// initial residual norm `r0`. All kernels and all three execution paths
-/// share this rule, so a system classifies identically wherever it runs.
+/// share this rule (through `loop_exit`), so a system classifies
+/// identically wherever it runs.
 inline FailureClass classify_exhausted(real_type r_norm, real_type r0,
                                        bool converged)
 {
@@ -117,6 +120,41 @@ inline FailureClass classify_exhausted(real_type r_norm, real_type r0,
         return FailureClass::stagnated;
     }
     return FailureClass::max_iters;
+}
+
+/// Per-system solve outcome returned by the solver kernels. `failure`
+/// carries the kernel's classification of the exit (FailureClass::converged
+/// when `converged` is true).
+struct EntryResult {
+    int iterations = 0;
+    real_type residual_norm = 0.0;
+    bool converged = false;
+    FailureClass failure = FailureClass::max_iters;
+};
+
+/// The exit rule at the top of every solver iteration, on every host
+/// kernel and lockstep lane: a system that has `iter` iterations behind it
+/// and residual norm `r_norm` stops as converged, else as non-finite
+/// (poisoned operands never converge: abandon the system promptly instead
+/// of spinning to the limit), else -- its budget spent -- as
+/// classify_exhausted says. Otherwise it iterates on, and the algorithm's
+/// own breakdown checks come next.
+template <typename Stop>
+std::optional<EntryResult> loop_exit(const Stop& stop, int iter,
+                                     int max_iters, real_type r_norm,
+                                     real_type b_norm, real_type r0)
+{
+    if (stop.done(r_norm, b_norm)) {
+        return EntryResult{iter, r_norm, true, FailureClass::converged};
+    }
+    if (!std::isfinite(r_norm)) {
+        return EntryResult{iter, r_norm, false, FailureClass::non_finite};
+    }
+    if (iter >= max_iters) {
+        return EntryResult{iter, r_norm, false,
+                           classify_exhausted(r_norm, r0, false)};
+    }
+    return std::nullopt;
 }
 
 }  // namespace bsis

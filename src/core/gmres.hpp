@@ -9,7 +9,10 @@
 #include <vector>
 
 #include "blas/kernels.hpp"
+#include "core/failure.hpp"
+#include "core/residual.hpp"
 #include "core/workspace.hpp"
+#include "obs/convergence.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/types.hpp"
@@ -42,17 +45,16 @@ struct GmresScratch {
     }
 };
 
-/// `history`, when non-null, receives the initial residual norm plus the
-/// Givens residual estimate |g[j+1]| after every inner iteration (the
-/// per-iteration convergence signal GMRES actually steers by; the true
-/// residual is only recomputed at restarts).
+/// `history` records the initial residual norm plus the Givens residual
+/// estimate |g[j+1]| after every inner iteration (the per-iteration
+/// convergence signal GMRES actually steers by; the true residual is only
+/// recomputed at restarts, and adds no point).
 template <typename MatrixView, typename Prec, typename Stop>
 EntryResult gmres_kernel(const MatrixView& a, ConstVecView<real_type> b,
                          VecView<real_type> x, const Prec& prec,
                          const Stop& stop, int max_iters, int restart,
                          Workspace& ws, GmresScratch& scratch,
-                         int work_offset = 0,
-                         std::vector<real_type>* history = nullptr)
+                         int work_offset = 0, obs::HistorySink history = {})
 {
     BSIS_ENSURE_ARG(restart >= 1, "restart must be >= 1");
     auto w = ws.slot(work_offset + 0);
@@ -74,23 +76,14 @@ EntryResult gmres_kernel(const MatrixView& a, ConstVecView<real_type> b,
     const real_type b_norm = blas::nrm2(b);
     int total_iters = 0;
 
-    obs::traced(obs::Phase::spmv, "spmv", [&] { spmv(a, ConstVecView<real_type>(x), r); });
-    blas::axpby(real_type{1}, b, real_type{-1}, r);
-    real_type beta = obs::traced(
-        obs::Phase::reduction, "reduction",
-        [&] { return blas::nrm2(ConstVecView<real_type>(r)); });
+    real_type beta = residual(a, b, ConstVecView<real_type>(x), r);
     const real_type r0 = beta;
 
-    if (history != nullptr) {
-        history->clear();
-        history->push_back(beta);
-    }
-    while (total_iters < max_iters) {
-        if (stop.done(beta, b_norm)) {
-            return {total_iters, beta, true, FailureClass::converged};
-        }
-        if (!std::isfinite(beta)) {
-            return {total_iters, beta, false, FailureClass::non_finite};
+    history.record(0, beta);
+    for (;;) {
+        if (const auto exit =
+                loop_exit(stop, total_iters, max_iters, beta, b_norm, r0)) {
+            return *exit;
         }
         if (beta == real_type{0}) {
             return {total_iters, beta, true, FailureClass::converged};
@@ -102,7 +95,6 @@ EntryResult gmres_kernel(const MatrixView& a, ConstVecView<real_type> b,
         g[0] = beta;
 
         int j = 0;
-        bool happy = false;
         for (; j < restart && total_iters < max_iters; ++j) {
             obs::traced(obs::Phase::precond, "precond_apply", [&] {
                 prec.apply(ConstVecView<real_type>(basis(j)), z);
@@ -150,12 +142,9 @@ EntryResult gmres_kernel(const MatrixView& a, ConstVecView<real_type> b,
             ++total_iters;
             const real_type res_est =
                 std::abs(g[static_cast<std::size_t>(j) + 1]);
-            if (history != nullptr) {
-                history->push_back(res_est);
-            }
+            history.record(total_iters, res_est);
             if (stop.done(res_est, b_norm) || h_next == real_type{0}) {
                 ++j;
-                happy = true;
                 break;
             }
         }
@@ -178,20 +167,9 @@ EntryResult gmres_kernel(const MatrixView& a, ConstVecView<real_type> b,
         obs::traced(obs::Phase::precond, "precond_apply",
                     [&] { prec.apply(ConstVecView<real_type>(w), z); });
         blas::axpy(real_type{1}, ConstVecView<real_type>(z), x);
-        // True residual for the restart / convergence decision.
-        obs::traced(obs::Phase::spmv, "spmv",
-                    [&] { spmv(a, ConstVecView<real_type>(x), r); });
-        blas::axpby(real_type{1}, b, real_type{-1}, r);
-        beta = obs::traced(obs::Phase::reduction, "reduction", [&] {
-            return blas::nrm2(ConstVecView<real_type>(r));
-        });
-        if (happy && stop.done(beta, b_norm)) {
-            return {total_iters, beta, true, FailureClass::converged};
-        }
-    }
-    {
-        const bool done = stop.done(beta, b_norm);
-        return {total_iters, beta, done, classify_exhausted(beta, r0, done)};
+        // True residual for the restart / convergence decision at the top
+        // of the restart loop.
+        beta = residual(a, b, ConstVecView<real_type>(x), r);
     }
 }
 

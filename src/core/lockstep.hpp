@@ -24,16 +24,16 @@
 // so a lockstep solve returns the same per-system iteration counts and
 // residual norms as the scalar path up to rounding.
 //
-// The lane protocol (slot layout, per-lane state, retirement, refill and
-// the loop-top retire order) is written once, in `drain_lanes`. An
-// algorithm is a lane policy -- `BicgstabLanes` or `CgLanes`, each with the
-// classic and pipelined recurrences as a compile-time flag -- that supplies
-// only its vectors, its per-lane setup and its iteration body.
+// The lane protocol (slot layout, per-lane state, retirement and refill)
+// is written once, in `drain_lanes`; its loop-top retire order is the
+// scalar kernels' own exit rule, `loop_exit`. An algorithm is a lane
+// policy -- `BicgstabLanes` or `CgLanes`, each with the classic and
+// pipelined recurrences as a compile-time flag -- that supplies only its
+// vectors, its per-lane setup and its iteration body.
 #pragma once
 
 #include <atomic>
 #include <cmath>
-#include <exception>
 #include <optional>
 
 #ifdef _OPENMP
@@ -42,6 +42,7 @@
 
 #include "blas/batch_vector.hpp"
 #include "blas/kernels.hpp"
+#include "core/failure.hpp"
 #include "core/logger.hpp"
 #include "core/pipelined.hpp"
 #include "core/workspace.hpp"
@@ -49,6 +50,7 @@
 #include "obs/convergence.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
+#include "util/first_exception.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
@@ -168,11 +170,13 @@ struct LaneGroup {
     /// Records lane l's outcome, writes its solution column back to the
     /// caller's entry-major x (the scalar path writes x in place; here the
     /// column is the working copy) and parks the lane.
-    void finish(int l, int iters, real_type rn, bool conv, FailureClass fc)
+    void finish(int l, const EntryResult& e)
     {
-        stage.record(thread, sys[l], iters, rn, conv, fc);
+        stage.record(thread, sys[l], e.iterations, e.residual_norm,
+                     e.converged, e.failure);
         if (history != nullptr) {
-            history->finalize(sys[l], iters, rn, conv);
+            history->finalize(sys[l], e.iterations, e.residual_norm,
+                              e.converged);
         }
         unpack_lane(ConstLaneGroupView<real_type>(xg, n, W), l,
                     x_out.entry(sys[l]));
@@ -294,7 +298,7 @@ struct BicgstabLanes {
             }
             if constexpr (!Pipelined) {
                 if (const auto fc = breakdown(l, true)) {
-                    g.finish(l, g.iter[l], g.r_norm[l], false, *fc);
+                    g.finish(l, {g.iter[l], g.r_norm[l], false, *fc});
                     continue;
                 }
             }
@@ -327,8 +331,8 @@ struct BicgstabLanes {
         for (int l = 0; l < W; ++l) {
             if (g.active[l]) {
                 if (r_hat_v[l] == real_type{0}) {
-                    g.finish(l, g.iter[l], g.r_norm[l], false,
-                             FailureClass::breakdown_rho);
+                    g.finish(l, {g.iter[l], g.r_norm[l], false,
+                                 FailureClass::breakdown_rho});
                 } else {
                     alpha[l] = rho[l] / r_hat_v[l];
                 }
@@ -420,14 +424,14 @@ struct BicgstabLanes {
                 continue;
             }
             if (early[l]) {
-                g.finish(l, g.iter[l] + 1, s_norm[l], true,
-                         FailureClass::converged);
+                g.finish(l, {g.iter[l] + 1, s_norm[l], true,
+                             FailureClass::converged});
             } else if (tt0[l]) {
                 // t.t == 0 after a failed ||s|| check: the scalar kernel
                 // returns {iter+1, s_norm, stop.done(s_norm, b_norm)},
                 // and the stop check just failed.
-                g.finish(l, g.iter[l] + 1, s_norm[l], false,
-                         FailureClass::breakdown_omega);
+                g.finish(l, {g.iter[l] + 1, s_norm[l], false,
+                             FailureClass::breakdown_omega});
             } else {
                 rho_old[l] = rho[l];
                 if constexpr (Pipelined) {
@@ -522,8 +526,8 @@ struct CgLanes {
         for (int l = 0; l < W; ++l) {
             if (g.active[l]) {
                 if (pq[l] <= real_type{0}) {
-                    g.finish(l, g.iter[l], g.r_norm[l], false,
-                             FailureClass::breakdown_rho);
+                    g.finish(l, {g.iter[l], g.r_norm[l], false,
+                                 FailureClass::breakdown_rho});
                 } else {
                     alpha[l] = rz[l] / pq[l];
                 }
@@ -657,9 +661,9 @@ void drain_lanes(const SourceBatch& a, const EllSlabPattern& pattern,
         // and refill them until each lane either has work or the queue is
         // dry. A freshly refilled system may converge immediately (zero
         // right-hand side with a zero guess), so the checks loop. The
-        // check order (done, non-finite, exhausted, then the algorithm's
-        // breakdown check) mirrors the scalar kernels' loop top so a
-        // system classifies identically on both paths.
+        // scalar kernels' exit rule, loop_exit, retires a lane first, then
+        // the algorithm's breakdown check, so a system classifies
+        // identically on both paths.
         for (int l = 0; l < W; ++l) {
             for (;;) {
                 if (!g.active[l]) {
@@ -667,27 +671,14 @@ void drain_lanes(const SourceBatch& a, const EllSlabPattern& pattern,
                         break;
                     }
                 }
-                if (stop.done(g.r_norm[l], g.b_norm[l])) {
-                    g.finish(l, g.iter[l], g.r_norm[l], true,
-                             FailureClass::converged);
-                    continue;
-                }
-                if (!std::isfinite(g.r_norm[l])) {
-                    // A poisoned lane used to retire looking exactly like
-                    // a clean max-iter exit; park it promptly with its
-                    // real cause instead.
-                    g.finish(l, g.iter[l], g.r_norm[l], false,
-                             FailureClass::non_finite);
-                    continue;
-                }
-                if (g.iter[l] >= max_iters) {
-                    g.finish(l, max_iters, g.r_norm[l], false,
-                             classify_exhausted(g.r_norm[l], g.r0[l],
-                                                false));
+                if (const auto exit =
+                        loop_exit(stop, g.iter[l], max_iters, g.r_norm[l],
+                                  g.b_norm[l], g.r0[l])) {
+                    g.finish(l, *exit);
                     continue;
                 }
                 if (const auto fc = lanes.breakdown(l)) {
-                    g.finish(l, g.iter[l], g.r_norm[l], false, *fc);
+                    g.finish(l, {g.iter[l], g.r_norm[l], false, *fc});
                     continue;
                 }
                 break;
@@ -724,13 +715,13 @@ void run_batch_lockstep(const SourceBatch& a, const BatchVector<real_type>& b,
 
     BatchLogStage stage(nthreads);
     std::atomic<size_type> next_system{0};
-    std::exception_ptr failure;
+    FirstException failure;
 #pragma omp parallel
     {
         // The thread's tally growth over its drain is its part of this
         // solve's phase totals.
         const obs::PhaseTally tally_before = obs::thread_phase_tally();
-        try {
+        failure.run([&] {
             const int thread = lockstep::this_thread();
             // One span per thread covering its whole queue drain: the
             // lane-group analogue of the scalar path's per-entry span.
@@ -739,21 +730,12 @@ void run_batch_lockstep(const SourceBatch& a, const BatchVector<real_type>& b,
             drain_lanes<Lanes>(a, pattern, b, x, zero_guess, stop, max_iters,
                                pool.at(thread), next_system, stage, thread,
                                history);
-        } catch (...) {
-#pragma omp critical(bsis_lockstep_failure)
-            {
-                if (!failure) {
-                    failure = std::current_exception();
-                }
-            }
-        }
+        });
 #pragma omp critical(bsis_phase_fold)
         phases.add_delta(obs::thread_phase_tally(), tally_before);
     }
     stage.merge_into(log);
-    if (failure) {
-        std::rethrow_exception(failure);
-    }
+    failure.rethrow();
 }
 
 }  // namespace bsis

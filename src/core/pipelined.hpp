@@ -30,10 +30,11 @@
 // s-update sweep, ||r|| by the CG reduction sweep), so recurrence rounding
 // never compounds across iterations; the drift tests bound the gap to the
 // true residual at exit. Failure detection is kept structurally identical
-// to the classic kernels (done -> non_finite -> breakdown rho/omega split,
-// classify_exhausted at the iteration cap); a non-finite recurrence value
-// is mapped to NaN rather than clamped so the non_finite check fires
-// exactly as it does on a measured norm.
+// to the classic kernels (the loop_exit rule -- done -> non_finite ->
+// classify_exhausted at the iteration cap -- then the breakdown rho/omega
+// split); a non-finite recurrence value is mapped to NaN rather than
+// clamped so the non_finite check fires exactly as it does on a measured
+// norm.
 #pragma once
 
 #include <cmath>

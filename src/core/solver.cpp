@@ -1,7 +1,6 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
-#include <exception>
 
 #include "core/bicg.hpp"
 #include "core/bicgstab.hpp"
@@ -18,6 +17,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
+#include "util/first_exception.hpp"
 #include "util/timer.hpp"
 
 namespace bsis {
@@ -209,15 +209,118 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
     auto& workspaces = scratch.workspaces;
     auto& gmres_scratch = scratch.gmres;
 
-    // Exceptions cannot unwind through an OpenMP region: capture the
-    // first one and rethrow it after the loop.
-    std::exception_ptr failure;
     // Per-thread result staging (merged below): recording directly into
     // the shared log from inside the loop makes adjacent entries' writes
     // false-share cache lines across threads. Chunked dynamic scheduling
-    // amortizes the per-entry scheduler handshake over 8 entries while
-    // keeping the load balancing that varying iteration counts need.
+    // (below) amortizes the per-entry scheduler handshake over 8 entries
+    // while keeping the load balancing that varying iteration counts need.
     BatchLogStage stage(nthreads);
+    // Solves batch entry i on the calling OpenMP thread.
+    const auto solve_entry = [&](size_type i) {
+        obs::ScopedSpan entry_span("solve_entry", "solver",
+                                   static_cast<std::int64_t>(i));
+        const int thread = lockstep::this_thread();
+        auto& ws = workspaces.at(thread);
+        const auto av = a.entry(i);
+        const auto bv = b.entry(i);
+        auto xv = x.entry(i);
+        if (!settings.use_initial_guess) {
+            blas::fill(xv, real_type{0});
+        }
+        // Preconditioner storage lives in the tail slots of the
+        // workspace (contiguous, so a multi-slot strip is one view).
+        const int prec_vecs = precond_work_vectors(
+            settings.precond, settings.block_jacobi_size);
+        const int prec_slot_base = solver_slots - prec_vecs;
+        Prec prec = [&] {
+            if constexpr (std::is_same_v<Prec, BlockJacobiPrec>) {
+                return BlockJacobiPrec(settings.block_jacobi_size);
+            } else {
+                return Prec{};
+            }
+        }();
+        {
+            obs::ScopedSpan setup_span("precond_setup", "solver");
+            obs::PhaseTimer setup_timer(obs::Phase::precond);
+            if constexpr (std::is_same_v<Prec, JacobiPrec>) {
+                prec.generate(av, ws.slot(prec_slot_base));
+            } else if constexpr (std::is_same_v<Prec, BlockJacobiPrec>) {
+                prec.generate(av, VecView<real_type>{
+                                      ws.slot(prec_slot_base).data,
+                                      ws.length() * prec_vecs});
+            } else {
+                (void)prec_slot_base;
+                prec.generate(av, VecView<real_type>{});
+            }
+        }
+
+        const obs::HistorySink traj{history, i};
+
+        EntryResult result;
+        switch (settings.solver) {
+        case SolverType::bicgstab:
+            result = !settings.fused_kernels
+                         ? bicgstab_kernel_unfused(av, bv, xv, prec, stop,
+                                                   settings.max_iterations,
+                                                   ws, 0, traj)
+                     : plan.pipelined
+                         ? bicgstab_kernel<true>(av, bv, xv, prec, stop,
+                                                 settings.max_iterations,
+                                                 ws, 0, traj)
+                         : bicgstab_kernel(av, bv, xv, prec, stop,
+                                           settings.max_iterations, ws, 0,
+                                           traj);
+            break;
+        case SolverType::bicg:
+            result = bicg_kernel(av, bv, xv, prec, stop,
+                                 settings.max_iterations, ws, 0, traj);
+            break;
+        case SolverType::cgs:
+            result = cgs_kernel(av, bv, xv, prec, stop,
+                                settings.max_iterations, ws, 0, traj);
+            break;
+        case SolverType::cg:
+            result = plan.pipelined
+                         ? cg_kernel<true>(av, bv, xv, prec, stop,
+                                           settings.max_iterations, ws, 0,
+                                           traj)
+                         : cg_kernel(av, bv, xv, prec, stop,
+                                     settings.max_iterations, ws, 0,
+                                     traj);
+            break;
+        case SolverType::gmres:
+            result = gmres_kernel(
+                av, bv, xv, prec, stop, settings.max_iterations,
+                settings.gmres_restart, ws,
+                gmres_scratch[static_cast<std::size_t>(thread)], 0,
+                traj);
+            break;
+        case SolverType::richardson:
+            result = richardson_kernel(av, bv, xv, prec, stop,
+                                       settings.max_iterations, ws,
+                                       settings.richardson_omega, 0,
+                                       traj);
+            break;
+        case SolverType::chebyshev: {
+            const auto bounds = gershgorin_bounds(
+                av, ws, chebyshev_work_vectors,
+                settings.precond != PrecondType::identity);
+            result = chebyshev_kernel(av, bv, xv, prec, stop,
+                                      settings.max_iterations, bounds,
+                                      ws, 0, traj);
+            break;
+        }
+        }
+        stage.record(thread, i, result.iterations,
+                     result.residual_norm, result.converged,
+                     result.failure);
+        if (history != nullptr) {
+            history->finalize(i, result.iterations, result.residual_norm,
+                              result.converged);
+        }
+    };
+
+    FirstException failure;
 #pragma omp parallel
     {
         // This thread's tally grows only by its own spans; its growth
@@ -226,132 +329,13 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
         const obs::PhaseTally tally_before = obs::thread_phase_tally();
 #pragma omp for schedule(dynamic, 8) nowait
         for (size_type i = 0; i < nbatch; ++i) {
-            try {
-            obs::ScopedSpan entry_span("solve_entry", "solver",
-                                       static_cast<std::int64_t>(i));
-            const int thread = lockstep::this_thread();
-            auto& ws = workspaces.at(thread);
-            const auto av = a.entry(i);
-            const auto bv = b.entry(i);
-            auto xv = x.entry(i);
-            if (!settings.use_initial_guess) {
-                blas::fill(xv, real_type{0});
-            }
-            // Preconditioner storage lives in the tail slots of the
-            // workspace (contiguous, so a multi-slot strip is one view).
-            const int prec_vecs = precond_work_vectors(
-                settings.precond, settings.block_jacobi_size);
-            const int prec_slot_base = solver_slots - prec_vecs;
-            Prec prec = [&] {
-                if constexpr (std::is_same_v<Prec, BlockJacobiPrec>) {
-                    return BlockJacobiPrec(settings.block_jacobi_size);
-                } else {
-                    return Prec{};
-                }
-            }();
-            {
-                obs::ScopedSpan setup_span("precond_setup", "solver");
-                obs::PhaseTimer setup_timer(obs::Phase::precond);
-                if constexpr (std::is_same_v<Prec, JacobiPrec>) {
-                    prec.generate(av, ws.slot(prec_slot_base));
-                } else if constexpr (std::is_same_v<Prec, BlockJacobiPrec>) {
-                    prec.generate(av, VecView<real_type>{
-                                          ws.slot(prec_slot_base).data,
-                                          ws.length() * prec_vecs});
-                } else {
-                    (void)prec_slot_base;
-                    prec.generate(av, VecView<real_type>{});
-                }
-            }
-
-            // Residual trajectory staging; every kernel exposes a history
-            // parameter, so all solvers record when the caller asked for
-            // one.
-            std::vector<real_type> traj;
-            std::vector<real_type>* traj_ptr = history != nullptr ? &traj
-                                                                  : nullptr;
-
-            EntryResult result;
-            switch (settings.solver) {
-            case SolverType::bicgstab:
-                result = !settings.fused_kernels
-                             ? bicgstab_kernel_unfused(av, bv, xv, prec, stop,
-                                                       settings.max_iterations,
-                                                       ws, 0, traj_ptr)
-                         : plan.pipelined
-                             ? bicgstab_kernel<true>(av, bv, xv, prec, stop,
-                                                     settings.max_iterations,
-                                                     ws, 0, traj_ptr)
-                             : bicgstab_kernel(av, bv, xv, prec, stop,
-                                               settings.max_iterations, ws, 0,
-                                               traj_ptr);
-                break;
-            case SolverType::bicg:
-                result = bicg_kernel(av, bv, xv, prec, stop,
-                                     settings.max_iterations, ws, 0, traj_ptr);
-                break;
-            case SolverType::cgs:
-                result = cgs_kernel(av, bv, xv, prec, stop,
-                                    settings.max_iterations, ws, 0, traj_ptr);
-                break;
-            case SolverType::cg:
-                result = plan.pipelined
-                             ? cg_kernel<true>(av, bv, xv, prec, stop,
-                                               settings.max_iterations, ws, 0,
-                                               traj_ptr)
-                             : cg_kernel(av, bv, xv, prec, stop,
-                                         settings.max_iterations, ws, 0,
-                                         traj_ptr);
-                break;
-            case SolverType::gmres:
-                result = gmres_kernel(
-                    av, bv, xv, prec, stop, settings.max_iterations,
-                    settings.gmres_restart, ws,
-                    gmres_scratch[static_cast<std::size_t>(thread)], 0,
-                    traj_ptr);
-                break;
-            case SolverType::richardson:
-                result = richardson_kernel(av, bv, xv, prec, stop,
-                                           settings.max_iterations, ws,
-                                           settings.richardson_omega, 0,
-                                           traj_ptr);
-                break;
-            case SolverType::chebyshev: {
-                const auto bounds = gershgorin_bounds(
-                    av, ws, chebyshev_work_vectors,
-                    settings.precond != PrecondType::identity);
-                result = chebyshev_kernel(av, bv, xv, prec, stop,
-                                          settings.max_iterations, bounds,
-                                          ws, 0, traj_ptr);
-                break;
-            }
-            }
-            stage.record(thread, i, result.iterations,
-                         result.residual_norm, result.converged,
-                         result.failure);
-            if (history != nullptr) {
-                for (std::size_t k = 0; k < traj.size(); ++k) {
-                    history->record(i, static_cast<int>(k), traj[k]);
-                }
-                history->finalize(i, result.iterations, result.residual_norm,
-                                  result.converged);
-            }
-            } catch (...) {
-#pragma omp critical(bsis_solver_failure)
-                {
-                    if (!failure) {
-                        failure = std::current_exception();
-                    }
-                }
-            }
+            failure.run([&] { solve_entry(i); });
         }
 #pragma omp critical(bsis_phase_fold)
         phases.add_delta(obs::thread_phase_tally(), tally_before);
     }
     stage.merge_into(log);
-    if (failure) {
-        std::rethrow_exception(failure);
-    }
+    failure.rethrow();
 }
 
 template <typename BatchMatrix, typename Prec>

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "blas/batch_vector.hpp"
-#include "core/failure.hpp"
 #include "util/error.hpp"
 #include "util/types.hpp"
 
@@ -105,16 +104,6 @@ public:
 
 private:
     std::vector<Workspace> workspaces_;
-};
-
-/// Per-system solve outcome returned by the solver kernels. `failure`
-/// carries the kernel's classification of the exit (FailureClass::converged
-/// when `converged` is true).
-struct EntryResult {
-    int iterations = 0;
-    real_type residual_norm = 0.0;
-    bool converged = false;
-    FailureClass failure = FailureClass::max_iters;
 };
 
 }  // namespace bsis

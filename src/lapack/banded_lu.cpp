@@ -4,9 +4,8 @@
 #include <cmath>
 #include <utility>
 
-#include <exception>
-
 #include "util/error.hpp"
+#include "util/first_exception.hpp"
 
 namespace bsis::lapack {
 
@@ -107,23 +106,12 @@ void batch_gbsv(BatchBanded<real_type>& a, BatchVector<real_type>& x)
                      "batch counts must match");
     BSIS_ENSURE_DIMS(a.n() == x.len(), "rhs length must equal matrix order");
     const size_type nbatch = a.num_batch();
-    std::exception_ptr failure;
+    FirstException failure;
 #pragma omp parallel for schedule(dynamic)
     for (size_type b = 0; b < nbatch; ++b) {
-        try {
-            gbsv(a.entry(b), x.entry(b));
-        } catch (...) {
-#pragma omp critical(bsis_batch_driver_failure)
-            {
-                if (!failure) {
-                    failure = std::current_exception();
-                }
-            }
-        }
+        failure.run([&] { gbsv(a.entry(b), x.entry(b)); });
     }
-    if (failure) {
-        std::rethrow_exception(failure);
-    }
+    failure.rethrow();
 }
 
 }  // namespace bsis::lapack

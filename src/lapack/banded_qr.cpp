@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include <exception>
-
 #include "util/error.hpp"
+#include "util/first_exception.hpp"
 
 namespace bsis::lapack {
 
@@ -95,23 +94,12 @@ void batch_gbqr_solve(BatchBanded<real_type>& a, BatchVector<real_type>& x)
                      "batch counts must match");
     BSIS_ENSURE_DIMS(a.n() == x.len(), "rhs length must equal matrix order");
     const size_type nbatch = a.num_batch();
-    std::exception_ptr failure;
+    FirstException failure;
 #pragma omp parallel for schedule(dynamic)
     for (size_type b = 0; b < nbatch; ++b) {
-        try {
-            gbqr_solve(a.entry(b), x.entry(b));
-        } catch (...) {
-#pragma omp critical(bsis_batch_driver_failure)
-            {
-                if (!failure) {
-                    failure = std::current_exception();
-                }
-            }
-        }
+        failure.run([&] { gbqr_solve(a.entry(b), x.entry(b)); });
     }
-    if (failure) {
-        std::rethrow_exception(failure);
-    }
+    failure.rethrow();
 }
 
 }  // namespace bsis::lapack

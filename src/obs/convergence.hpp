@@ -11,7 +11,9 @@
 //
 // Thread safety matches the solver drivers' ownership model: each batch
 // system is recorded by exactly one thread (the thread, or lockstep lane,
-// solving it), and reads happen after the parallel region.
+// solving it), and reads happen after the parallel region. Both host paths
+// record straight into the recorder: a lane through its group's pointer, a
+// scalar kernel through a HistorySink.
 #pragma once
 
 #include <vector>
@@ -72,6 +74,20 @@ private:
 
     int capacity_ = 0;
     std::vector<System> systems_;
+};
+
+/// One system's trajectory in a recorder: the handle a scalar solver
+/// kernel records its residuals through. A null recorder records nothing.
+struct HistorySink {
+    ConvergenceHistory* history = nullptr;
+    size_type system = 0;
+
+    void record(int iteration, real_type residual) const
+    {
+        if (history != nullptr) {
+            history->record(system, iteration, residual);
+        }
+    }
 };
 
 }  // namespace bsis::obs

@@ -1,9 +1,9 @@
 #include "xgc/workload.hpp"
 
 #include <cmath>
-#include <exception>
 
 #include "util/error.hpp"
+#include "util/first_exception.hpp"
 #include "util/rng.hpp"
 
 namespace bsis::xgc {
@@ -104,12 +104,10 @@ void CollisionWorkload::assemble_batch(const BatchVector<real_type>& iterate,
     // node's screening tables are local to its iteration, so the values
     // do not depend on which thread takes the node.
     const size_type ns = num_species();
-    // Exceptions cannot unwind through an OpenMP region: capture the
-    // first one and rethrow it after the loop.
-    std::exception_ptr failure;
+    FirstException failure;
 #pragma omp parallel for schedule(dynamic)
     for (size_type node = 0; node < num_mesh_nodes(); ++node) {
-        try {
+        failure.run([&] {
             std::vector<PlasmaState> states(static_cast<std::size_t>(ns));
             std::vector<std::vector<real_type>> tables(
                 static_cast<std::size_t>(ns));
@@ -145,16 +143,9 @@ void CollisionWorkload::assemble_batch(const BatchVector<real_type>& iterate,
                 operators_[si].assemble(states[si], screening, dt,
                                         a.values(node * ns + s));
             }
-        } catch (...) {
-#pragma omp critical(bsis_xgc_assembly_failure)
-            if (!failure) {
-                failure = std::current_exception();
-            }
-        }
+        });
     }
-    if (failure) {
-        std::rethrow_exception(failure);
-    }
+    failure.rethrow();
 }
 
 }  // namespace bsis::xgc

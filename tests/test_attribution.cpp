@@ -985,22 +985,25 @@ using obs::Phase;
 INSTANTIATE_TEST_SUITE_P(
     Solvers, ScalarPhaseSpans,
     ::testing::Values(
-        // x, r and p updates.
-        SpanCountCase{"cg", SolverType::cg, true, false, Phase::update, 3, 0},
+        // x, r and p updates; the set-up residual and the first p.
+        SpanCountCase{"cg", SolverType::cg, true, false, Phase::update, 3, 2},
         SpanCountCase{"cg_pipelined", SolverType::cg, true, true,
-                      Phase::update, 3, 0},
-        // x, r/r_hat and p/p_hat updates.
+                      Phase::update, 3, 2},
+        // x, r/r_hat and p/p_hat updates; the set-up residual, r_hat and
+        // the first p/p_hat.
         SpanCountCase{"bicg", SolverType::bicg, true, false, Phase::update,
-                      3, 0},
-        // u/p, q/t, x and r updates.
+                      3, 3},
+        // u/p, q/t, x and r updates; the set-up residual and r_hat.
         SpanCountCase{"cgs", SolverType::cgs, true, false, Phase::update, 4,
-                      0},
-        // p, x and r updates.
+                      2},
+        // p, x and r updates; the set-up residual.
         SpanCountCase{"chebyshev", SolverType::chebyshev, true, false,
-                      Phase::update, 3, 0},
+                      Phase::update, 3, 1},
+        // The residual and x updates; the residual after the last one.
         SpanCountCase{"richardson", SolverType::richardson, true, false,
-                      Phase::update, 1, 0},
-        // p, s, x and r updates; the set-up residual sweep.
+                      Phase::update, 2, 1},
+        // p, s, x and r updates; the set-up residual sweep with the
+        // r_hat copy and the p and v fills.
         SpanCountCase{"bicgstab", SolverType::bicgstab, true, false,
                       Phase::update, 4, 1},
         SpanCountCase{"bicgstab_pipelined", SolverType::bicgstab, true, true,

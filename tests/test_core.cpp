@@ -475,10 +475,16 @@ TEST(SolverBehavior, ResidualHistoryIsRecordedAndReachesTolerance)
     BatchVector<real_type> x(1, p.a.rows());
     JacobiPrec prec;
     prec.generate(p.a.entry(0), ws.slot(bicgstab_work_vectors));
-    std::vector<real_type> history;
+    // Room for every iteration boundary, so the recorder keeps them all.
+    obs::ConvergenceHistory recorder;
+    recorder.reset(1, 512);
     const auto result = bicgstab_kernel(
         p.a.entry(0), p.b.entry(0), x.entry(0), prec,
-        AbsResidualStop{1e-10}, 500, ws, 0, &history);
+        AbsResidualStop{1e-10}, 500, ws, 0, {&recorder, 0});
+    std::vector<real_type> history;
+    for (const auto& point : recorder.points(0)) {
+        history.push_back(point.residual);
+    }
     ASSERT_TRUE(result.converged);
     // One entry per evaluated iteration boundary, starting at iteration 0.
     EXPECT_GE(static_cast<int>(history.size()), result.iterations);

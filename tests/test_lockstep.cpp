@@ -2,14 +2,17 @@
 // with the scalar path across widths and formats, degenerate batch shapes
 // (fewer systems than lanes, ragged tails, empty batches, instantly
 // converged lanes beside iterating lane-mates), warm starts, relative
-// stopping, a diagonal repeated in the pattern, and the fallback rules for
-// unsupported compositions.
+// stopping, a diagonal repeated in the pattern, the fallback rules for
+// unsupported compositions, and bitwise-equal convergence histories.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "core/forensics.hpp"
 #include "core/solver.hpp"
 #include "io/matrix_market.hpp"
 #include "matrix/conversions.hpp"
@@ -149,6 +152,68 @@ TEST_P(LockstepWidth, CgOnSpdBatchMatchesScalar)
     auto s = bicgstab_jacobi();
     s.solver = SolverType::cg;
     expect_lockstep_matches_scalar(p.a, p.a, p.b, s, GetParam());
+}
+
+/// True when a and b have the same bits (NaN residuals included).
+bool same_bits(real_type a, real_type b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST_P(LockstepWidth, HistoryMatchesScalar)
+{
+    // Both paths record into ConvergenceHistory along one rule: the
+    // residual at the top of every iteration, then the final state. A
+    // capacity of 4 makes long trajectories decimate; NaN and zero
+    // right-hand sides retire at iteration 0 beside iterating lane-mates.
+    int max_stride = 1;
+    for (const bool cg : {false, true}) {
+        auto p = Problem::make(13, 8, 7, /*spd=*/cg);
+        for (index_type k = 0; k < p.a.rows(); ++k) {
+            p.b.entry(2)[k] = std::nan("");
+            p.b.entry(5)[k] = 0.0;
+        }
+        for (const auto precond :
+             {PrecondType::identity, PrecondType::jacobi}) {
+            for (const bool pipelined : {false, true}) {
+                auto s = bicgstab_jacobi();
+                s.solver = cg ? SolverType::cg : SolverType::bicgstab;
+                s.precond = precond;
+                s.pipelined = pipelined;
+                s.max_iterations = 300;
+                s.record_convergence = true;
+                s.convergence_capacity = 4;
+                BatchVector<real_type> x_scalar(13, p.a.rows());
+                BatchVector<real_type> x_lock(13, p.a.rows());
+                const auto scalar = solve_batch(p.a, p.b, x_scalar, s);
+                s.lockstep_width = GetParam();
+                const auto lock = solve_batch(p.a, p.b, x_lock, s);
+                for (size_type i = 0; i < 13; ++i) {
+                    SCOPED_TRACE(testing::Message()
+                                 << solver_name(s.solver) << " "
+                                 << precond_name(precond)
+                                 << (pipelined ? " pipelined" : " classic")
+                                 << " system " << i);
+                    const auto& hs = scalar.history;
+                    const auto& hl = lock.history;
+                    ASSERT_EQ(hs.points(i).size(), hl.points(i).size());
+                    for (std::size_t k = 0; k < hs.points(i).size(); ++k) {
+                        EXPECT_EQ(hs.points(i)[k].iteration,
+                                  hl.points(i)[k].iteration);
+                        EXPECT_TRUE(same_bits(hs.points(i)[k].residual,
+                                              hl.points(i)[k].residual));
+                    }
+                    EXPECT_EQ(hs.stride(i), hl.stride(i));
+                    max_stride = std::max(max_stride, hs.stride(i));
+                    EXPECT_EQ(hs.final_point(i).iteration,
+                              hl.final_point(i).iteration);
+                    EXPECT_TRUE(same_bits(hs.final_point(i).residual,
+                                          hl.final_point(i).residual));
+                }
+            }
+        }
+    }
+    EXPECT_GT(max_stride, 1) << "no trajectory was decimated";
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, LockstepWidth,
