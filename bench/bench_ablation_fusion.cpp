@@ -19,10 +19,9 @@ int main()
     // Fused profile: the sweep structure of the single-pass kernels.
     // Unfused profile: one sweep per BLAS call (the reference path).
     const auto work_fused =
-        work_profile(SolverType::bicgstab, PrecondType::jacobi);
+        work_profile(SolverType::bicgstab);
     const auto work_unfused =
-        work_profile(SolverType::bicgstab, PrecondType::jacobi, 30, 4,
-                     /*fused=*/false);
+        work_profile(SolverType::bicgstab, 30, /*fused=*/false);
     const int iterations = 20;
     const size_type nbatch = 960;
 

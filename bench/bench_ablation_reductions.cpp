@@ -38,7 +38,7 @@ int main()
         const auto& device = gpus[g];
         for (const auto& entry : solvers) {
             const auto work =
-                work_profile(entry.solver, PrecondType::jacobi);
+                work_profile(entry.solver);
             const auto config = configure_storage(
                 bicgstab_slots(1), shape.rows, device.warp_size,
                 sizeof(real_type),

@@ -134,7 +134,8 @@ void BM_Dot3Nrm2Fused(benchmark::State& state)
     const auto z = ConstVecView<real_type>(f.x.entry(0));
     for (auto _ : state) {
         real_type d_xy, d_xx, d_xz, z_norm;
-        blas::dot3_nrm2<real_type>(x, y, z, d_xy, d_xx, d_xz, z_norm);
+        blas::dot3_nrm2_lanes<1>(x.data, y.data, z.data, x.len, &d_xy,
+                                 &d_xx, &d_xz, &z_norm);
         benchmark::DoNotOptimize(d_xy);
         benchmark::DoNotOptimize(d_xx);
         benchmark::DoNotOptimize(d_xz);

@@ -210,33 +210,6 @@ inline void dot4(ConstVecView<T> x, ConstVecView<T> y, ConstVecView<T> z,
     d_xz = sum_xz;
 }
 
-/// Triple dot + norm in one sweep: d_xy := x . y, d_xx := x . x,
-/// d_xz := x . z, and z_norm := ||z||_2. The pipelined CG reduction sweep
-/// (x = q, y = p, z = r): q.p is alpha's denominator, and q.q / q.r feed
-/// the residual-norm recurrence ||r - alpha q||^2 = ||r||^2 - 2 alpha q.r
-/// + alpha^2 q.q, re-anchored by the freshly measured ||r|| each
-/// iteration so recurrence rounding never compounds.
-template <typename T>
-inline void dot3_nrm2(ConstVecView<T> x, ConstVecView<T> y, ConstVecView<T> z,
-                      T& d_xy, T& d_xx, T& d_xz, T& z_norm)
-{
-    BSIS_ASSERT(x.len == y.len && x.len == z.len);
-    T sum_xy{};
-    T sum_xx{};
-    T sum_xz{};
-    T sum_zz{};
-    for (index_type i = 0; i < x.len; ++i) {
-        sum_xy += x[i] * y[i];
-        sum_xx += x[i] * x[i];
-        sum_xz += x[i] * z[i];
-        sum_zz += z[i] * z[i];
-    }
-    d_xy = sum_xy;
-    d_xx = sum_xx;
-    d_xz = sum_xz;
-    z_norm = std::sqrt(sum_zz);
-}
-
 /// Paired update: y1 := alpha * x1 + beta * y1 and y2 := alpha * x2 +
 /// beta * y2 in one loop (the BiCG primal/shadow direction updates, which
 /// share their scalars).
@@ -265,7 +238,8 @@ inline void axpby2(T alpha, ConstVecView<T> x1, ConstVecView<T> x2, T beta,
 // parked lane cannot leak into its neighbours. Reductions accumulate
 // per-lane in ascending element order -- the same order as the scalar
 // fused kernels -- so a lockstep lane reproduces the scalar solve's
-// rounding behaviour.
+// rounding behaviour. At W = 1 they are the scalar path's own sweeps over
+// plain vectors (core/lockstep.hpp's width-1 group).
 //
 // W is a compile-time parameter: the lane loop has constant trip count, so
 // `#pragma omp simd` turns it into straight vector code.
@@ -304,18 +278,29 @@ inline void zaxpby_nrm2_lanes(const T* alpha, const T* x, const T* beta,
     }
 }
 
-/// y(:, l) := alpha[l] * x(:, l) + gamma[l] * y(:, l), and
-/// norm[l] := ||y(:, l)||_2, in one sweep (lockstep CG residual update;
-/// gamma masks parked lanes).
+/// y(:, l) := y(:, l) + alpha[l] * x(:, l) (a retired lane passes 0).
 template <int W, typename T>
-inline void axpy_nrm2_lanes(const T* alpha, const T* x, const T* gamma,
-                            T* y, index_type n, T* norm)
+inline void axpy_lanes(const T* alpha, const T* x, T* y, index_type n)
+{
+    for (index_type i = 0; i < n; ++i) {
+#pragma omp simd
+        for (int l = 0; l < W; ++l) {
+            y[i * W + l] += alpha[l] * x[i * W + l];
+        }
+    }
+}
+
+/// y(:, l) := y(:, l) + alpha[l] * x(:, l), and norm[l] := ||y(:, l)||_2,
+/// in one sweep (the CG residual update).
+template <int W, typename T>
+inline void axpy_nrm2_lanes(const T* alpha, const T* x, T* y, index_type n,
+                            T* norm)
 {
     T sum[W] = {};
     for (index_type i = 0; i < n; ++i) {
 #pragma omp simd
         for (int l = 0; l < W; ++l) {
-            const T yi = gamma[l] * y[i * W + l] + alpha[l] * x[i * W + l];
+            const T yi = y[i * W + l] + alpha[l] * x[i * W + l];
             y[i * W + l] = yi;
             sum[l] += yi * yi;
         }
@@ -362,10 +347,9 @@ inline void dot2_lanes(const T* x, const T* y1, const T* y2, index_type n,
     }
 }
 
-/// z(:, l) := alpha[l] * x(:, l) + beta[l] * y(:, l) (plain lockstep
-/// two-term update; a parked lane passes (0, 0) and its column is simply
-/// zeroed, which is safe for the pipelined residual update exactly as for
-/// the masked zaxpby_nrm2_lanes s/r updates).
+/// z(:, l) := alpha[l] * x(:, l) + beta[l] * y(:, l) in one sweep (the
+/// two-term updates; a parked lane's column is dead until its refill
+/// rewrites it, so masking it to zero is as safe as keeping it).
 template <int W, typename T>
 inline void zaxpby_lanes(const T* alpha, const T* x, const T* beta,
                          const T* y, T* z, index_type n)
@@ -378,34 +362,13 @@ inline void zaxpby_lanes(const T* alpha, const T* x, const T* beta,
     }
 }
 
-/// z(:, l) := alpha[l] * x(:, l) + beta[l] * y(:, l), with
-/// norm[l] := ||z(:, l)||_2 and d[l] := z(:, l) . w(:, l), in one sweep:
-/// the pipelined lockstep s-update, which needs ||s|| for the early-exit
-/// test and s . r_hat for the next iteration's rho recurrence.
-template <int W, typename T>
-inline void zaxpby_nrm2_dot_lanes(const T* alpha, const T* x, const T* beta,
-                                  const T* y, const T* w, T* z, index_type n,
-                                  T* norm, T* d)
-{
-    T sum[W] = {};
-    T sumd[W] = {};
-    for (index_type i = 0; i < n; ++i) {
-#pragma omp simd
-        for (int l = 0; l < W; ++l) {
-            const T zi = alpha[l] * x[i * W + l] + beta[l] * y[i * W + l];
-            z[i * W + l] = zi;
-            sum[l] += zi * zi;
-            sumd[l] += zi * w[i * W + l];
-        }
-    }
-    for (int l = 0; l < W; ++l) {
-        norm[l] = std::sqrt(sum[l]);
-        d[l] = sumd[l];
-    }
-}
-
-/// Lockstep analogue of dot3_nrm2: d_xy[l] := x . y, d_xx[l] := x . x,
-/// d_xz[l] := x . z, z_norm[l] := ||z||_2, per lane, in one sweep.
+/// Triple dot + norm in one sweep, per lane: d_xy[l] := x . y,
+/// d_xx[l] := x . x, d_xz[l] := x . z and z_norm[l] := ||z||_2. The
+/// pipelined CG reduction sweep (x = q, y = p, z = r): q.p is alpha's
+/// denominator, and q.q / q.r feed the residual-norm recurrence
+/// ||r - alpha q||^2 = ||r||^2 - 2 alpha q.r + alpha^2 q.q, re-anchored by
+/// the freshly measured ||r|| each iteration so recurrence rounding never
+/// compounds.
 template <int W, typename T>
 inline void dot3_nrm2_lanes(const T* x, const T* y, const T* z, index_type n,
                             T* d_xy, T* d_xx, T* d_xz, T* z_norm)

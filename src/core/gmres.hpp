@@ -89,8 +89,10 @@ EntryResult gmres_kernel(const MatrixView& a, ConstVecView<real_type> b,
             return {total_iters, beta, true, FailureClass::converged};
         }
         // v_0 = r / beta
-        blas::copy(ConstVecView<real_type>(r), basis(0));
-        blas::scal(real_type{1} / beta, basis(0));
+        obs::traced(obs::Phase::update, "update", [&] {
+            blas::copy(ConstVecView<real_type>(r), basis(0));
+            blas::scal(real_type{1} / beta, basis(0));
+        });
         std::fill(g.begin(), g.end(), real_type{0});
         g[0] = beta;
 
@@ -101,23 +103,28 @@ EntryResult gmres_kernel(const MatrixView& a, ConstVecView<real_type> b,
             });
             obs::traced(obs::Phase::spmv, "spmv",
                         [&] { spmv(a, ConstVecView<real_type>(z), w); });
-            // Modified Gram-Schmidt orthogonalization.
-            obs::traced(obs::Phase::reduction, "reduction", [&] {
-                for (int i = 0; i <= j; ++i) {
-                    const real_type hij =
-                        blas::dot(ConstVecView<real_type>(w),
-                                  ConstVecView<real_type>(basis(i)));
-                    h_at(i, j) = hij;
+            // Modified Gram-Schmidt orthogonalization: each h_ij is a
+            // reduction sweep, each w -= h_ij v_i an update sweep.
+            for (int i = 0; i <= j; ++i) {
+                const real_type hij =
+                    obs::traced(obs::Phase::reduction, "reduction", [&] {
+                        return blas::dot(ConstVecView<real_type>(w),
+                                         ConstVecView<real_type>(basis(i)));
+                    });
+                h_at(i, j) = hij;
+                obs::traced(obs::Phase::update, "update", [&] {
                     blas::axpy(-hij, ConstVecView<real_type>(basis(i)), w);
-                }
-            });
+                });
+            }
             const real_type h_next = obs::traced(obs::Phase::reduction, "reduction", [&] {
                 return blas::nrm2(ConstVecView<real_type>(w));
             });
             h_at(j + 1, j) = h_next;
             if (h_next != real_type{0}) {
-                blas::copy(ConstVecView<real_type>(w), basis(j + 1));
-                blas::scal(real_type{1} / h_next, basis(j + 1));
+                obs::traced(obs::Phase::update, "update", [&] {
+                    blas::copy(ConstVecView<real_type>(w), basis(j + 1));
+                    blas::scal(real_type{1} / h_next, basis(j + 1));
+                });
             }
             // Apply the accumulated Givens rotations to column j, then
             // compute the rotation annihilating h(j+1, j).
@@ -166,7 +173,9 @@ EntryResult gmres_kernel(const MatrixView& a, ConstVecView<real_type> b,
         });
         obs::traced(obs::Phase::precond, "precond_apply",
                     [&] { prec.apply(ConstVecView<real_type>(w), z); });
-        blas::axpy(real_type{1}, ConstVecView<real_type>(z), x);
+        obs::traced(obs::Phase::update, "update", [&] {
+            blas::axpy(real_type{1}, ConstVecView<real_type>(z), x);
+        });
         // True residual for the restart / convergence decision at the top
         // of the restart loop.
         beta = residual(a, b, ConstVecView<real_type>(x), r);

@@ -1,14 +1,15 @@
 // Pipelined batched BiCGStab / CG recurrences (Rupp et al., "Pipelined
 // Iterative Solvers with Kernel Fusion for GPUs"). The variants are the
-// `Pipelined = true` instantiations of `bicgstab_kernel` / `cg_kernel` and
-// of the `BicgstabLanes` / `CgLanes` lockstep policies; this header holds
+// `Pipelined = true` instantiations of the `BicgstabLanes` / `CgLanes`
+// policies, on the scalar path's width-1 group (`bicgstab_kernel<true>`,
+// `cg_kernel<true>`) and the lockstep slab group alike; this header holds
 // the design note and the recurrence norm they share.
 //
-// The classic fused kernels still stop at 3 (BiCGStab) / 3 (CG) reduction
-// points per iteration; on the lockstep and GPU paths every one of those
-// is a lane-group synchronization. The pipelined variants restructure the
-// recurrences so the quantities the NEXT reduction would measure are
-// by-products of reductions already in flight:
+// The classic fused kernels stop at 3 reduction points per iteration; on
+// the lockstep and GPU paths every one is a lane-group synchronization.
+// The pipelined variants restructure the recurrences so the quantities the
+// NEXT reduction would measure are by-products of reductions already in
+// flight:
 //
 //   BiCGStab: the end-of-iteration dual dot (t.t, t.s) widens into a
 //   dot4 over {t, s, r_hat} that also yields s.r_hat and t.r_hat, from
@@ -17,7 +18,7 @@
 //   omega^2 t.t follow in registers -- the standalone r.r_hat dot and the
 //   residual-norm reduction disappear.
 //
-//   CG: the p.q dot widens into dot3_nrm2 over {q, p, r} yielding q.q,
+//   CG: the p.q dot widens into dot3_nrm2_lanes over {q, p, r} yielding q.q,
 //   q.r and a freshly measured ||r||, giving ||r - alpha q||^2 = ||r||^2
 //   - 2 alpha q.r + alpha^2 q.q; the r.z dot folds into the
 //   preconditioner sweep (Prec::apply_dot). alpha and beta are computed
@@ -26,15 +27,13 @@
 //   on the recurrence norm.
 //
 // Drift policy: every recurrence bridges exactly ONE iteration from
-// quantities measured in that same iteration (||s|| is measured by the
-// s-update sweep, ||r|| by the CG reduction sweep), so recurrence rounding
-// never compounds across iterations; the drift tests bound the gap to the
-// true residual at exit. Failure detection is kept structurally identical
-// to the classic kernels (the loop_exit rule -- done -> non_finite ->
-// classify_exhausted at the iteration cap -- then the breakdown rho/omega
-// split); a non-finite recurrence value is mapped to NaN rather than
-// clamped so the non_finite check fires exactly as it does on a measured
-// norm.
+// quantities measured in that same iteration (||s|| by the s-update sweep,
+// ||r|| by the CG reduction sweep), so recurrence rounding never compounds
+// across iterations; the drift tests bound the gap to the true residual at
+// exit. Failure detection is the classic variants' own (the loop-top rule,
+// then the breakdown rho/omega split); a non-finite recurrence value maps
+// to NaN rather than clamping, so the non_finite check fires exactly as on
+// a measured norm.
 #pragma once
 
 #include <cmath>

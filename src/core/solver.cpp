@@ -115,9 +115,9 @@ ExecutionPlan plan_solve(const SolverSettings& s)
 }
 
 /// Runs the batch on the lockstep path with lane algorithm
-/// Lanes<width, Jacobi, Pipelined>: the one place that lists the
-/// instantiated widths.
-template <template <int, bool, bool> class Lanes, bool Jacobi,
+/// Lanes<LaneGroup<width, Jacobi>, Pipelined>: the one place that lists
+/// the instantiated widths.
+template <template <typename, bool> class Lanes, bool Jacobi,
           bool Pipelined, typename BatchMatrix, typename Stop>
 void run_lockstep_width(int width, const BatchMatrix& a,
                         const BatchVector<real_type>& b,
@@ -131,22 +131,23 @@ void run_lockstep_width(int width, const BatchMatrix& a,
     const int max_iters = settings.max_iterations;
     switch (width) {
     case 2:
-        run_batch_lockstep<Lanes<2, Jacobi, Pipelined>>(
+        run_batch_lockstep<Lanes<lockstep::LaneGroup<2, Jacobi>, Pipelined>>(
             a, b, x, zero_guess, stop, max_iters, pool, log, history,
             phases);
         break;
     case 4:
-        run_batch_lockstep<Lanes<4, Jacobi, Pipelined>>(
+        run_batch_lockstep<Lanes<lockstep::LaneGroup<4, Jacobi>, Pipelined>>(
             a, b, x, zero_guess, stop, max_iters, pool, log, history,
             phases);
         break;
     case 8:
-        run_batch_lockstep<Lanes<8, Jacobi, Pipelined>>(
+        run_batch_lockstep<Lanes<lockstep::LaneGroup<8, Jacobi>, Pipelined>>(
             a, b, x, zero_guess, stop, max_iters, pool, log, history,
             phases);
         break;
     default:
-        run_batch_lockstep<Lanes<16, Jacobi, Pipelined>>(
+        run_batch_lockstep<
+            Lanes<lockstep::LaneGroup<16, Jacobi>, Pipelined>>(
             a, b, x, zero_guess, stop, max_iters, pool, log, history,
             phases);
         break;
@@ -525,9 +526,7 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
 
     BatchSolveResult result;
     result.log = BatchLog(a.num_batch());
-    result.work = work_profile(settings.solver, settings.precond,
-                               settings.gmres_restart,
-                               settings.block_jacobi_size,
+    result.work = work_profile(settings.solver, settings.gmres_restart,
                                settings.fused_kernels, plan.pipelined);
     result.work.simd_lanes = std::max(plan.lockstep_width, 1);
     // The flight recorder wants the failing systems' residual

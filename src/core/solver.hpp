@@ -65,8 +65,9 @@ struct SolverSettings {
     /// supported {2, 4, 8, 16}. The lockstep path covers BiCGStab and CG
     /// with identity or scalar-Jacobi preconditioning on the sparse
     /// formats (CSR / ELL / SELL-P) with fused kernels; any other
-    /// composition silently falls back to the scalar path, and results
-    /// match the scalar path per entry up to rounding.
+    /// composition silently falls back to the scalar path. Both paths run
+    /// one algorithm body in one operation order, so each entry's results
+    /// match the scalar path's (bit for bit on every tested batch).
     int lockstep_width = 0;
     /// When true, the solve captures each system's residual trajectory
     /// (the residual norm at the top of every iteration) into

@@ -72,60 +72,67 @@ StorageConfig configure_storage(std::vector<VectorSlot> slots,
     return config;
 }
 
-std::vector<VectorSlot> bicgstab_slots(int precond_work_vectors)
+namespace {
+
+/// A solver's own slots, then one `prec_<i>` slot per preconditioner work
+/// vector: the order every `*_slots` function returns.
+std::vector<VectorSlot> with_precond(std::vector<VectorSlot> slots,
+                                     int precond_work_vectors)
 {
-    std::vector<VectorSlot> slots{
-        {"p_hat", SlotClass::spmv, MemSpace::global},
-        {"v", SlotClass::spmv, MemSpace::global},
-        {"s_hat", SlotClass::spmv, MemSpace::global},
-        {"t", SlotClass::spmv, MemSpace::global},
-        {"r", SlotClass::intermediate, MemSpace::global},
-        {"r_hat", SlotClass::intermediate, MemSpace::global},
-        {"p", SlotClass::intermediate, MemSpace::global},
-        {"s", SlotClass::intermediate, MemSpace::global},
-        {"x", SlotClass::intermediate, MemSpace::global},
-    };
     for (int i = 0; i < precond_work_vectors; ++i) {
         slots.push_back({"prec_" + std::to_string(i), SlotClass::precond,
                          MemSpace::global});
     }
     return slots;
+}
+
+}  // namespace
+
+std::vector<VectorSlot> bicgstab_slots(int precond_work_vectors)
+{
+    return with_precond(
+        {
+            {"p_hat", SlotClass::spmv, MemSpace::global},
+            {"v", SlotClass::spmv, MemSpace::global},
+            {"s_hat", SlotClass::spmv, MemSpace::global},
+            {"t", SlotClass::spmv, MemSpace::global},
+            {"r", SlotClass::intermediate, MemSpace::global},
+            {"r_hat", SlotClass::intermediate, MemSpace::global},
+            {"p", SlotClass::intermediate, MemSpace::global},
+            {"s", SlotClass::intermediate, MemSpace::global},
+            {"x", SlotClass::intermediate, MemSpace::global},
+        },
+        precond_work_vectors);
 }
 
 std::vector<VectorSlot> cgs_slots(int precond_work_vectors)
 {
-    std::vector<VectorSlot> slots{
-        {"u_hat", SlotClass::spmv, MemSpace::global},
-        {"v", SlotClass::spmv, MemSpace::global},
-        {"t", SlotClass::spmv, MemSpace::global},
-        {"r", SlotClass::intermediate, MemSpace::global},
-        {"r_hat", SlotClass::intermediate, MemSpace::global},
-        {"u", SlotClass::intermediate, MemSpace::global},
-        {"p", SlotClass::intermediate, MemSpace::global},
-        {"q", SlotClass::intermediate, MemSpace::global},
-        {"x", SlotClass::intermediate, MemSpace::global},
-    };
-    for (int i = 0; i < precond_work_vectors; ++i) {
-        slots.push_back({"prec_" + std::to_string(i), SlotClass::precond,
-                         MemSpace::global});
-    }
-    return slots;
+    return with_precond(
+        {
+            {"u_hat", SlotClass::spmv, MemSpace::global},
+            {"v", SlotClass::spmv, MemSpace::global},
+            {"t", SlotClass::spmv, MemSpace::global},
+            {"r", SlotClass::intermediate, MemSpace::global},
+            {"r_hat", SlotClass::intermediate, MemSpace::global},
+            {"u", SlotClass::intermediate, MemSpace::global},
+            {"p", SlotClass::intermediate, MemSpace::global},
+            {"q", SlotClass::intermediate, MemSpace::global},
+            {"x", SlotClass::intermediate, MemSpace::global},
+        },
+        precond_work_vectors);
 }
 
 std::vector<VectorSlot> cg_slots(int precond_work_vectors)
 {
-    std::vector<VectorSlot> slots{
-        {"p", SlotClass::spmv, MemSpace::global},
-        {"q", SlotClass::spmv, MemSpace::global},
-        {"r", SlotClass::intermediate, MemSpace::global},
-        {"z", SlotClass::intermediate, MemSpace::global},
-        {"x", SlotClass::intermediate, MemSpace::global},
-    };
-    for (int i = 0; i < precond_work_vectors; ++i) {
-        slots.push_back({"prec_" + std::to_string(i), SlotClass::precond,
-                         MemSpace::global});
-    }
-    return slots;
+    return with_precond(
+        {
+            {"p", SlotClass::spmv, MemSpace::global},
+            {"q", SlotClass::spmv, MemSpace::global},
+            {"r", SlotClass::intermediate, MemSpace::global},
+            {"z", SlotClass::intermediate, MemSpace::global},
+            {"x", SlotClass::intermediate, MemSpace::global},
+        },
+        precond_work_vectors);
 }
 
 std::vector<VectorSlot> gmres_slots(int restart, int precond_work_vectors)
@@ -141,61 +148,48 @@ std::vector<VectorSlot> gmres_slots(int restart, int precond_work_vectors)
         slots.push_back({"v_" + std::to_string(i), SlotClass::intermediate,
                          MemSpace::global});
     }
-    for (int i = 0; i < precond_work_vectors; ++i) {
-        slots.push_back({"prec_" + std::to_string(i), SlotClass::precond,
-                         MemSpace::global});
-    }
-    return slots;
+    return with_precond(std::move(slots), precond_work_vectors);
 }
 
 std::vector<VectorSlot> richardson_slots(int precond_work_vectors)
 {
-    std::vector<VectorSlot> slots{
-        {"t", SlotClass::spmv, MemSpace::global},
-        {"r", SlotClass::intermediate, MemSpace::global},
-        {"x", SlotClass::intermediate, MemSpace::global},
-    };
-    for (int i = 0; i < precond_work_vectors; ++i) {
-        slots.push_back({"prec_" + std::to_string(i), SlotClass::precond,
-                         MemSpace::global});
-    }
-    return slots;
+    return with_precond(
+        {
+            {"t", SlotClass::spmv, MemSpace::global},
+            {"r", SlotClass::intermediate, MemSpace::global},
+            {"x", SlotClass::intermediate, MemSpace::global},
+        },
+        precond_work_vectors);
 }
 
 std::vector<VectorSlot> bicg_slots(int precond_work_vectors)
 {
-    std::vector<VectorSlot> slots{
-        {"p", SlotClass::spmv, MemSpace::global},
-        {"p_hat", SlotClass::spmv, MemSpace::global},
-        {"q", SlotClass::spmv, MemSpace::global},
-        {"q_hat", SlotClass::spmv, MemSpace::global},
-        {"r", SlotClass::intermediate, MemSpace::global},
-        {"r_hat", SlotClass::intermediate, MemSpace::global},
-        {"z", SlotClass::intermediate, MemSpace::global},
-        {"z_hat", SlotClass::intermediate, MemSpace::global},
-        {"x", SlotClass::intermediate, MemSpace::global},
-    };
-    for (int i = 0; i < precond_work_vectors; ++i) {
-        slots.push_back({"prec_" + std::to_string(i), SlotClass::precond,
-                         MemSpace::global});
-    }
-    return slots;
+    return with_precond(
+        {
+            {"p", SlotClass::spmv, MemSpace::global},
+            {"p_hat", SlotClass::spmv, MemSpace::global},
+            {"q", SlotClass::spmv, MemSpace::global},
+            {"q_hat", SlotClass::spmv, MemSpace::global},
+            {"r", SlotClass::intermediate, MemSpace::global},
+            {"r_hat", SlotClass::intermediate, MemSpace::global},
+            {"z", SlotClass::intermediate, MemSpace::global},
+            {"z_hat", SlotClass::intermediate, MemSpace::global},
+            {"x", SlotClass::intermediate, MemSpace::global},
+        },
+        precond_work_vectors);
 }
 
 std::vector<VectorSlot> chebyshev_slots(int precond_work_vectors)
 {
-    std::vector<VectorSlot> slots{
-        {"p", SlotClass::spmv, MemSpace::global},
-        {"q", SlotClass::spmv, MemSpace::global},
-        {"r", SlotClass::intermediate, MemSpace::global},
-        {"z", SlotClass::intermediate, MemSpace::global},
-        {"x", SlotClass::intermediate, MemSpace::global},
-    };
-    for (int i = 0; i < precond_work_vectors; ++i) {
-        slots.push_back({"prec_" + std::to_string(i), SlotClass::precond,
-                         MemSpace::global});
-    }
-    return slots;
+    return with_precond(
+        {
+            {"p", SlotClass::spmv, MemSpace::global},
+            {"q", SlotClass::spmv, MemSpace::global},
+            {"r", SlotClass::intermediate, MemSpace::global},
+            {"z", SlotClass::intermediate, MemSpace::global},
+            {"x", SlotClass::intermediate, MemSpace::global},
+        },
+        precond_work_vectors);
 }
 
 }  // namespace bsis

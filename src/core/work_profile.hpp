@@ -37,7 +37,6 @@ struct SolverWorkProfile {
     double setup_spmvs = 0;
     double setup_dots = 0;
     double setup_axpys = 0;
-    int num_vectors = 0;  ///< per-system vectors incl. x and precond storage
 
     /// Fused-kernel sweep structure (all zero when the solver is not
     /// expressed in fused form; the cost model then falls back to one
@@ -90,29 +89,27 @@ inline int precond_work_vectors(PrecondType precond,
     return 0;
 }
 
-/// Builds the work profile of one solver composition. With `fused` (the
-/// default, matching the host kernels since the kernel-fusion PR) the
-/// profile also carries the fused sweep structure; `fused = false`
+/// Builds the work profile of one solver. With `fused` (the default,
+/// matching the host kernels since the kernel-fusion PR) the profile also
+/// carries the fused sweep structure; `fused = false`
 /// describes the reference one-sweep-per-BLAS-call composition, used by
 /// the fusion ablations. `pipelined` (BiCGStab / CG only, requires
 /// `fused`) switches to the pipelined kernels' sweep structure: fewer
 /// standalone reduction sweeps, paid for with wider reduction reads
 /// (`fused_extra_dot_vectors`) and combine rounds on non-reduction sweeps
 /// (`fused_extra_combines`).
-inline SolverWorkProfile work_profile(SolverType solver, PrecondType precond,
+inline SolverWorkProfile work_profile(SolverType solver,
                                       int gmres_restart = 30,
-                                      int block_jacobi_size = 4,
                                       bool fused = true,
                                       bool pipelined = false)
 {
-    const int prec_vecs = precond_work_vectors(precond, block_jacobi_size);
     const double prec_ops = 1.0;
     SolverWorkProfile p;
     switch (solver) {
     case SolverType::bicgstab:
         // Algorithm 1: 2 SpMV, 2 preconditioner applications, 6 reductions
         // (||r||, rho, r_hat.v, ||s||, t.s, t.t), ~6 vector updates.
-        p = {2, 2 * prec_ops, 6, 6, 1, 1, 3, 9 + prec_vecs};
+        p = {2, 2 * prec_ops, 6, 6, 1, 1, 3};
         if (fused && pipelined) {
             // Pipelined sweeps: p, x, and r updates (the r norm comes from
             // the recurrence, so its sweep is pure); s update with fused
@@ -136,7 +133,7 @@ inline SolverWorkProfile work_profile(SolverType solver, PrecondType precond,
     case SolverType::cgs:
         // 2 SpMV, 2 preconditioner applications, 3 reductions (rho,
         // sigma, ||r||), ~8 vector updates.
-        p = {2, 2 * prec_ops, 3, 8, 1, 1, 2, 9 + prec_vecs};
+        p = {2, 2 * prec_ops, 3, 8, 1, 1, 2};
         if (fused) {
             // u, p, q, t, x single-pass updates; r update with fused norm;
             // rho and sigma reduction sweeps.
@@ -148,7 +145,7 @@ inline SolverWorkProfile work_profile(SolverType solver, PrecondType precond,
     case SolverType::bicg:
         // 1 SpMV + 1 transpose SpMV, 2 preconditioner applications,
         // 3 reductions (rho, p_hat.q, ||r||), ~6 vector updates.
-        p = {2, 2 * prec_ops, 3, 6, 1, 2, 4, 9 + prec_vecs};
+        p = {2, 2 * prec_ops, 3, 6, 1, 2, 4};
         if (fused) {
             // x, r_hat, and the paired p/p_hat updates (shared-scalar
             // loop, still two vectors of traffic); r update with fused
@@ -159,10 +156,10 @@ inline SolverWorkProfile work_profile(SolverType solver, PrecondType precond,
         }
         break;
     case SolverType::cg:
-        p = {1, prec_ops, 3, 3, 1, 2, 2, 5 + prec_vecs};
+        p = {1, prec_ops, 3, 3, 1, 2, 2};
         if (fused && pipelined) {
             // Pipelined sweeps: x, r, p updates (all pure -- the norm is
-            // recurrence-maintained); ONE dot3_nrm2 sweep reading three
+            // recurrence-maintained); ONE dot3_nrm2_lanes sweep reading three
             // vectors and producing four results; the r.z dot rides the
             // preconditioner sweep as an extra combine round.
             p.fused_update_sweeps = 3;
@@ -183,16 +180,15 @@ inline SolverWorkProfile work_profile(SolverType solver, PrecondType precond,
         // Average inner step: MGS against j+1 basis vectors, j ~ m/2.
         // Not expressed in fused form: MGS serializes dot/axpy pairs.
         const double avg_orth = gmres_restart / 2.0 + 1.0;
-        p = {1, prec_ops, avg_orth + 1, avg_orth + 1, 1, 1, 2,
-             gmres_restart + 5 + prec_vecs};
+        p = {1, prec_ops, avg_orth + 1, avg_orth + 1, 1, 1, 2};
         break;
     }
     case SolverType::richardson:
-        p = {1, prec_ops, 1, 2, 0, 0, 0, 3 + prec_vecs};
+        p = {1, prec_ops, 1, 2, 0, 0, 0};
         break;
     case SolverType::chebyshev:
         // Reduction-free apart from the optional residual check.
-        p = {1, prec_ops, 1, 3, 1, 1, 1, 5 + prec_vecs};
+        p = {1, prec_ops, 1, 3, 1, 1, 1};
         break;
     }
     return p;

@@ -232,19 +232,22 @@ inline void spmv_lanes_dot(const EllSlabView<T>& a, const T* x, const T* w,
     }
 }
 
-/// Lockstep SpMV with the pipelined BiCGStab triple reduction fused in:
+/// Lockstep SpMV with the pipelined BiCGStab reductions fused in:
 /// y(:, l) := A_l x(:, l), d_yy[l] := y . y, d_yw[l] := y . w,
-/// d_yv[l] := y . v. With y = t, w = s, v = r_hat this replaces the
-/// dot2(t, t, s) sweep AND supplies t . r_hat for the rho recurrence, all
-/// while t is register-resident. Accumulation order per result matches
-/// dot2_lanes / dot_lanes over the finished y bit for bit.
+/// d_wv[l] := w . v, d_yv[l] := y . v. With y = t, w = s, v = r_hat this
+/// replaces the dot2(t, t, s) sweep AND supplies s . r_hat and t . r_hat
+/// for the rho recurrence, all while t is register-resident (w and v are
+/// read once per row). Accumulation order per result matches dot2_lanes /
+/// dot_lanes over the finished vectors bit for bit.
 template <int W, typename T>
-inline void spmv_lanes_dot3(const EllSlabView<T>& a, const T* x, const T* w,
-                            const T* v, T* y, T* d_yy, T* d_yw, T* d_yv)
+inline void spmv_lanes_dot4(const EllSlabView<T>& a, const T* x, const T* w,
+                            const T* v, T* y, T* d_yy, T* d_yw, T* d_wv,
+                            T* d_yv)
 {
     BSIS_ASSERT(a.width == W);
     T acc_yy[W] = {};
     T acc_yw[W] = {};
+    T acc_wv[W] = {};
     T acc_yv[W] = {};
     for (index_type r = 0; r < a.rows; ++r) {
         T sum[W] = {};
@@ -266,12 +269,14 @@ inline void spmv_lanes_dot3(const EllSlabView<T>& a, const T* x, const T* w,
             y[static_cast<std::size_t>(r) * W + l] = yi;
             acc_yy[l] += yi * yi;
             acc_yw[l] += yi * ws[l];
+            acc_wv[l] += ws[l] * vs[l];
             acc_yv[l] += yi * vs[l];
         }
     }
     for (int l = 0; l < W; ++l) {
         d_yy[l] = acc_yy[l];
         d_yw[l] = acc_yw[l];
+        d_wv[l] = acc_wv[l];
         d_yv[l] = acc_yv[l];
     }
 }

@@ -118,8 +118,7 @@ const obs::LedgerShape kShape{100, 900, 9};
 
 obs::WorkLedger iteration_ledger(SolverType solver, bool pipelined)
 {
-    const auto work = work_profile(solver, PrecondType::jacobi, 30, 4,
-                                   /*fused=*/true, pipelined);
+    const auto work = work_profile(solver, 30, /*fused=*/true, pipelined);
     return obs::work_ledger(work, kShape, obs::LedgerFormat::csr, 1.0, 0.0);
 }
 
@@ -185,7 +184,7 @@ TEST(WorkLedger, PipelinedCgSingleReductionPoint)
     // Classic fused CG: 2 dot sweeps + 1 norm-update combine = 3 points.
     EXPECT_DOUBLE_EQ(classic.of(obs::Phase::reduction).reductions, 3.0);
 
-    // Pipelined: ONE dot3_nrm2 sweep (3 vectors read, 4 results), plus
+    // Pipelined: ONE dot3_nrm2_lanes sweep (3 vectors read, 4 results), plus
     // the r.z combine riding the preconditioner/update side.
     const auto& red = pipe.of(obs::Phase::reduction);
     EXPECT_DOUBLE_EQ(red.reductions, 1.0);
@@ -202,8 +201,7 @@ TEST(WorkLedger, PipelinedCgSingleReductionPoint)
 
 TEST(WorkLedger, UnfusedFallbackUsesOperationCounts)
 {
-    const auto work = work_profile(SolverType::bicgstab, PrecondType::jacobi,
-                                   30, 4, /*fused=*/false);
+    const auto work = work_profile(SolverType::bicgstab, 30, /*fused=*/false);
     ASSERT_FALSE(work.has_fused_shape());
     const auto ledger =
         obs::work_ledger(work, kShape, obs::LedgerFormat::csr, 1.0, 0.0);
@@ -220,7 +218,7 @@ TEST(WorkLedger, UnfusedFallbackUsesOperationCounts)
 TEST(WorkLedger, SetupWorkScalesWithSystems)
 {
     // total_iterations = 0 isolates the per-system setup terms.
-    const auto work = work_profile(SolverType::bicgstab, PrecondType::jacobi);
+    const auto work = work_profile(SolverType::bicgstab);
     const double systems = 3.0;
     const auto ledger = obs::work_ledger(work, kShape,
                                          obs::LedgerFormat::csr, 0.0, systems);
@@ -237,7 +235,7 @@ TEST(WorkLedger, SetupWorkScalesWithSystems)
 
 TEST(WorkLedger, ScalesLinearlyWithIterationsAndTotals)
 {
-    const auto work = work_profile(SolverType::bicgstab, PrecondType::jacobi);
+    const auto work = work_profile(SolverType::bicgstab);
     const auto one =
         obs::work_ledger(work, kShape, obs::LedgerFormat::csr, 1.0, 0.0);
     const auto ten =
@@ -970,6 +968,9 @@ TEST_P(ScalarPhaseSpans, CountAFixedNumberPerIteration)
     settings.pipelined = c.pipelined;
     settings.tolerance = 0.0;
     settings.max_iterations = 5;
+    // GMRES(1): every iteration is a whole restart cycle, so it opens the
+    // same spans each time. The other solvers ignore the setting.
+    settings.gmres_restart = 1;
     obs::set_metrics_enabled(true);
     const auto result = solve_batch(a, b, x, settings);
     obs::set_metrics_enabled(false);
@@ -1002,6 +1003,13 @@ INSTANTIATE_TEST_SUITE_P(
         // The residual and x updates; the residual after the last one.
         SpanCountCase{"richardson", SolverType::richardson, true, false,
                       Phase::update, 2, 1},
+        // v_0 = r / beta, w -= h_00 v_0, v_1 = w / h_10, the V y sum,
+        // x += M^-1 V y and the restart residual; the set-up residual.
+        SpanCountCase{"gmres", SolverType::gmres, true, false, Phase::update,
+                      6, 1},
+        // h_00, ||w|| and the restart residual's norm; the set-up ||r||.
+        SpanCountCase{"gmres_reduction", SolverType::gmres, true, false,
+                      Phase::reduction, 3, 1},
         // p, s, x and r updates; the set-up residual sweep with the
         // r_hat copy and the p and v fills.
         SpanCountCase{"bicgstab", SolverType::bicgstab, true, false,

@@ -497,14 +497,10 @@ TEST(SolverBehavior, ResidualHistoryIsRecordedAndReachesTolerance)
 
 TEST(WorkProfile, BicgstabCountsMatchAlgorithmOne)
 {
-    const auto p = work_profile(SolverType::bicgstab, PrecondType::jacobi);
+    const auto p = work_profile(SolverType::bicgstab);
     EXPECT_EQ(p.spmv_per_iter, 2);
     EXPECT_EQ(p.precond_per_iter, 2);
     EXPECT_EQ(p.dots_per_iter, 6);
-    EXPECT_EQ(p.num_vectors, 10);  // 9 + Jacobi inverse diagonal
-    const auto ident =
-        work_profile(SolverType::bicgstab, PrecondType::identity);
-    EXPECT_EQ(ident.num_vectors, 9);  // the paper's count
 }
 
 }  // namespace

@@ -197,8 +197,7 @@ protected:
                    int blocks_per_cu = 2) const
     {
         return block_cost(d, shape_, fmt, 992, config_for(d),
-                          work_profile(SolverType::bicgstab,
-                                       PrecondType::jacobi),
+                          work_profile(SolverType::bicgstab),
                           blocks_per_cu);
     }
 };

@@ -414,10 +414,8 @@ TEST(PipelinedWorkProfile, PipelinedShapeShrinksStandaloneReductions)
     // The profile the solve reports must price the pipelined sweep
     // structure: fewer standalone reduction sweeps than classic fused,
     // paid with wider reduction reads (extra operand vectors).
-    const auto classic = work_profile(SolverType::bicgstab,
-                                      PrecondType::jacobi, 30, 4, true);
-    const auto pipe = work_profile(SolverType::bicgstab,
-                                   PrecondType::jacobi, 30, 4, true, true);
+    const auto classic = work_profile(SolverType::bicgstab, 30, true);
+    const auto pipe = work_profile(SolverType::bicgstab, 30, true, true);
     EXPECT_LT(pipe.fused_dot_sweeps, classic.fused_dot_sweeps);
     EXPECT_GT(pipe.fused_extra_dot_vectors, 0);
     // Operation counts (flop totals) are untouched by pipelining.
@@ -425,9 +423,9 @@ TEST(PipelinedWorkProfile, PipelinedShapeShrinksStandaloneReductions)
     EXPECT_EQ(pipe.spmv_per_iter, classic.spmv_per_iter);
 
     const auto cg_classic =
-        work_profile(SolverType::cg, PrecondType::jacobi, 30, 4, true);
+        work_profile(SolverType::cg, 30, true);
     const auto cg_pipe =
-        work_profile(SolverType::cg, PrecondType::jacobi, 30, 4, true, true);
+        work_profile(SolverType::cg, 30, true, true);
     EXPECT_LT(cg_pipe.fused_dot_sweeps + cg_pipe.fused_norm_update_sweeps,
               cg_classic.fused_dot_sweeps +
                   cg_classic.fused_norm_update_sweeps);
