@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
@@ -78,6 +79,10 @@ struct ConstLaneGroupView {
     }
 };
 
+// The lane packers run in the lane drivers, once per instruction-set copy
+// (util/isa.hpp).
+inline namespace BSIS_ISA_NAMESPACE {
+
 /// Packs one entry-major vector into lane `lane` of an interleaved group:
 /// group(i, lane) := x[i] for i < x.len; rows past x.len are untouched.
 template <typename T>
@@ -110,6 +115,8 @@ inline void zero_lane(LaneGroupView<T> group, int lane)
     }
 }
 
+}  // inline namespace BSIS_ISA_NAMESPACE
+
 /// `num_batch` vectors of length `len` in one contiguous entry-major array.
 template <typename T>
 class BatchVector {
@@ -128,13 +135,13 @@ public:
     size_type num_batch() const { return num_batch_; }
     index_type len() const { return len_; }
 
-    VecView<T> entry(size_type b)
+    BSIS_INLINE_ONLY VecView<T> entry(size_type b)
     {
         BSIS_ASSERT(b >= 0 && b < num_batch_);
         return {values_.data() + static_cast<std::size_t>(b) * len_, len_};
     }
 
-    ConstVecView<T> entry(size_type b) const
+    BSIS_INLINE_ONLY ConstVecView<T> entry(size_type b) const
     {
         BSIS_ASSERT(b >= 0 && b < num_batch_);
         return {values_.data() + static_cast<std::size_t>(b) * len_, len_};

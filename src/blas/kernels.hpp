@@ -10,6 +10,7 @@
 
 #include "blas/batch_vector.hpp"
 #include "util/error.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis::blas {
@@ -242,7 +243,9 @@ inline void axpby2(T alpha, ConstVecView<T> x1, ConstVecView<T> x2, T beta,
 // plain vectors (core/lockstep.hpp's width-1 group).
 //
 // W is a compile-time parameter: the lane loop has constant trip count, so
-// `#pragma omp simd` turns it into straight vector code.
+// `#pragma omp simd` turns it into straight vector code. The lane kernels
+// are compiled once per instruction-set copy (util/isa.hpp).
+inline namespace BSIS_ISA_NAMESPACE {
 
 /// z(:, l) := alpha[l] * x(:, l) + beta[l] * y(:, l) + gamma[l] * z(:, l).
 template <int W, typename T>
@@ -422,5 +425,7 @@ inline void copy_lanes(const T* x, const T* mask, T* z, index_type n)
         }
     }
 }
+
+}  // inline namespace BSIS_ISA_NAMESPACE
 
 }  // namespace bsis::blas

@@ -26,6 +26,7 @@
 #include "core/workspace.hpp"
 #include "obs/convergence.hpp"
 #include "obs/telemetry.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
@@ -34,6 +35,10 @@ namespace bsis {
 /// (r, r_hat, p, p_hat, v, s, s_hat, t), excluding x and the
 /// preconditioner's own storage.
 inline constexpr int bicgstab_work_vectors = 8;
+
+// The lane policy is compiled once per instruction-set copy
+// (util/isa.hpp).
+inline namespace BSIS_ISA_NAMESPACE {
 
 /// BiCGStab lanes. On the slab group each lane reproduces the width-1
 /// operation order (same sweeps, ascending-order reductions, breakdown
@@ -290,6 +295,8 @@ private:
         g.finish(0, e);
     }
 };
+
+}  // inline namespace BSIS_ISA_NAMESPACE
 
 /// Solves A x = b on one batch entry with preconditioned BiCGStab: the
 /// width-1 run of `BicgstabLanes`. `x` holds the initial guess on entry

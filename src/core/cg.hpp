@@ -17,12 +17,17 @@
 #include "core/workspace.hpp"
 #include "obs/convergence.hpp"
 #include "obs/telemetry.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
 
 /// Scratch vectors: r, z, p, q.
 inline constexpr int cg_work_vectors = 4;
+
+// The lane policy is compiled once per instruction-set copy
+// (util/isa.hpp).
+inline namespace BSIS_ISA_NAMESPACE {
 
 /// CG lanes. The pipelined variant merges the p.q and residual-norm
 /// reductions into one dot3_nrm2_lanes sweep and drops the r-update sweep's
@@ -160,6 +165,8 @@ struct CgLanes {
         }
     }
 };
+
+}  // inline namespace BSIS_ISA_NAMESPACE
 
 /// Solves A x = b on one batch entry with preconditioned CG: the width-1
 /// run of `CgLanes` (same contract as `bicgstab_kernel`). `Pipelined`

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
@@ -103,6 +104,20 @@ inline void record_failure_counts(obs::MetricsRegistry& m,
 /// numerical results stay bit-identical across paths.
 inline constexpr real_type stagnation_threshold = real_type{0.99};
 
+/// Per-system solve outcome returned by the solver kernels. `failure`
+/// carries the kernel's classification of the exit (FailureClass::converged
+/// when `converged` is true).
+struct EntryResult {
+    int iterations = 0;
+    real_type residual_norm = 0.0;
+    bool converged = false;
+    FailureClass failure = FailureClass::max_iters;
+};
+
+// The exit rule runs in the lane drivers, once per instruction-set copy
+// (util/isa.hpp).
+inline namespace BSIS_ISA_NAMESPACE {
+
 /// Classifies an iteration-limit exit from the final residual norm and the
 /// initial residual norm `r0`. All kernels and all three execution paths
 /// share this rule (through `loop_exit`), so a system classifies
@@ -121,16 +136,6 @@ inline FailureClass classify_exhausted(real_type r_norm, real_type r0,
     }
     return FailureClass::max_iters;
 }
-
-/// Per-system solve outcome returned by the solver kernels. `failure`
-/// carries the kernel's classification of the exit (FailureClass::converged
-/// when `converged` is true).
-struct EntryResult {
-    int iterations = 0;
-    real_type residual_norm = 0.0;
-    bool converged = false;
-    FailureClass failure = FailureClass::max_iters;
-};
 
 /// The exit rule at the top of every solver iteration, on every host
 /// kernel and lockstep lane: a system that has `iter` iterations behind it
@@ -156,5 +161,7 @@ std::optional<EntryResult> loop_exit(const Stop& stop, int iter,
     }
     return std::nullopt;
 }
+
+}  // inline namespace BSIS_ISA_NAMESPACE
 
 }  // namespace bsis

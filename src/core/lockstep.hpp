@@ -31,6 +31,10 @@
 //
 // Both drivers retire a lane at the loop top by one rule, `retire_at_top`:
 // the kernels' exit rule `loop_exit`, then the policy's breakdown check.
+//
+// The lane code is compiled once per instruction-set copy (util/isa.hpp):
+// the slab groups' drivers run at x86-64-v4 where the CPU supports it
+// (core/lockstep_run.hpp), the width-1 group at the baseline ISA.
 #pragma once
 
 #include <algorithm>
@@ -53,9 +57,45 @@
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/first_exception.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
+
+/// The state one lockstep solve's lane groups share: the slab pattern, the
+/// work queue, the per-thread result staging and the first exception a
+/// worker throws. Both instruction-set copies use it; its members are
+/// compiled once, at the baseline (core/lockstep_batch.cpp), so the wide
+/// copy emits none of its containers' code.
+class LockstepBatch {
+public:
+    /// Builds the slab pattern of `a` and grows `pool` to one workspace
+    /// per OpenMP thread: `slots` vectors of `width` lanes, then the slab
+    /// strip.
+    template <typename SourceBatch>
+    LockstepBatch(const SourceBatch& a, WorkspacePool& pool, int width,
+                  int slots);
+    ~LockstepBatch();
+
+    LockstepBatch(const LockstepBatch&) = delete;
+    LockstepBatch& operator=(const LockstepBatch&) = delete;
+
+    /// Stages the outcome of `system` from worker `thread`.
+    void record(int thread, size_type system, const EntryResult& e);
+
+    /// Merges the staged outcomes into `log`, then rethrows the first
+    /// exception a worker threw. Call after the parallel region.
+    void finish(BatchLog& log);
+
+    const EllSlabPattern pattern;
+    std::atomic<size_type> next_system{0};
+    FirstException failure;
+
+private:
+    BatchLogStage stage_;
+};
+
+inline namespace BSIS_ISA_NAMESPACE {
 
 namespace lockstep {
 
@@ -265,7 +305,7 @@ inline void pack_inv_diag_lane(const MatrixView& a, index_type rows,
     for (index_type r = 0; r < rows; ++r) {
         const real_type d = diagonal_at(a, r);
         if (d == real_type{0}) {
-            throw NumericalBreakdown("JacobiPrec", "zero diagonal entry");
+            throw_breakdown("JacobiPrec", "zero diagonal entry");
         }
         inv_diag[static_cast<std::size_t>(r) * width + lane] =
             real_type{1} / d;
@@ -276,20 +316,21 @@ inline void pack_inv_diag_lane(const MatrixView& a, index_type rows,
 /// columns and the matrix slab in the workspace slots after the policy's
 /// vectors. A retiring lane reports to the batch log and writes its
 /// solution column back to the caller's entry-major x. A lane's set-up
-/// sweeps run over its own column, once per system, in no phase span.
+/// sweeps run over its own column, once per system, each in the span of
+/// the phase the width-1 group runs it in.
 template <int W, bool Jacobi>
 struct LaneGroup : LaneState<W> {
     static constexpr bool jacobi = Jacobi;
     using LaneState<W>::act;
 
-    LaneGroup(Workspace& ws, int vectors, const EllSlabPattern& pattern,
-              BatchVector<real_type>& x_out, BatchLogStage& stage,
-              int thread, obs::ConvergenceHistory* history)
-        : n(pattern.rows), x(ws.slot(vectors).data),
+    LaneGroup(Workspace& ws, int vectors, LockstepBatch& batch,
+              BatchVector<real_type>& x_out, int thread,
+              obs::ConvergenceHistory* history)
+        : n(batch.pattern.rows), x(ws.slot(vectors).data),
           b(ws.slot(vectors + 1).data), inv_diag(ws.slot(vectors + 2).data),
-          av{n, pattern.nnz_per_row, pattern.col_idxs.data(),
+          av{n, batch.pattern.nnz_per_row, batch.pattern.col_idxs.data(),
              ws.slot(vectors + group_slots).data, W},
-          ws(ws), x_out(x_out), stage(stage), thread(thread)
+          ws(ws), x_out(x_out), batch(batch), thread(thread)
     {
         this->history = history;
     }
@@ -301,7 +342,7 @@ struct LaneGroup : LaneState<W> {
     EllSlabView<real_type> av;
     Workspace& ws;
     BatchVector<real_type>& x_out;
-    BatchLogStage& stage;
+    LockstepBatch& batch;
     int thread;
 
     real_type* slot(int i) { return ws.slot(i).data; }
@@ -310,8 +351,7 @@ struct LaneGroup : LaneState<W> {
     /// column is the working copy) and parks the lane.
     void finish(int l, const EntryResult& e)
     {
-        stage.record(thread, this->sys[l], e.iterations, e.residual_norm,
-                     e.converged, e.failure);
+        batch.record(thread, this->sys[l], e);
         if (this->history != nullptr) {
             this->history->finalize(this->sys[l], e.iterations,
                                     e.residual_norm, e.converged);
@@ -335,46 +375,67 @@ struct LaneGroup : LaneState<W> {
     template <typename Init>
     real_type residual(int l, real_type* r, Init&& init) const
     {
-        spmv_slab_lane(av, l, x, r);
-        real_type sum{};
-        each(l, [&](std::size_t i) {
-            r[i] = b[i] - r[i];
-            sum += r[i] * r[i];
-            init(i, r[i]);
+        obs::traced(obs::Phase::spmv, [&] { spmv_slab_lane(av, l, x, r); });
+        return obs::traced(obs::Phase::update, [&] {
+            real_type sum{};
+            each(l, [&](std::size_t i) {
+                r[i] = b[i] - r[i];
+                sum += r[i] * r[i];
+                init(i, r[i]);
+            });
+            return std::sqrt(sum);
         });
-        return std::sqrt(sum);
     }
 
+    /// r(:, l) = b - A x, then ||r(:, l)|| in a reduction sweep: the
+    /// width-1 group's unfused set-up residual.
     real_type residual(int l, real_type* r) const
     {
-        return residual(l, r, [](std::size_t, real_type) {});
+        obs::traced(obs::Phase::spmv, [&] { spmv_slab_lane(av, l, x, r); });
+        obs::traced(obs::Phase::update, [&] {
+            each(l, [&](std::size_t i) { r[i] = b[i] - r[i]; });
+        });
+        return std::sqrt(dot(l, r, r));
     }
 
     /// u(:, l) . v(:, l) in ascending element order (the order of the
     /// scalar blas::dot; its sqrt of u . u is the scalar blas::nrm2).
     real_type dot(int l, const real_type* u, const real_type* v) const
     {
-        real_type sum{};
-        each(l, [&](std::size_t i) { sum += u[i] * v[i]; });
-        return sum;
+        return obs::traced(obs::Phase::reduction,
+                           [&] { return column_dot(l, u, v); });
     }
 
     void precond(int l, const real_type* in, real_type* out) const
     {
-        each(l, [&](std::size_t i) {
-            out[i] = Jacobi ? inv_diag[i] * in[i] : in[i];
+        obs::traced(obs::Phase::precond, [&] {
+            each(l, [&](std::size_t i) { apply(i, in, out); });
         });
     }
 
+    /// out(:, l) = M^-1 in(:, l) with d = in . out in the same sweep.
     real_type precond_dot(int l, const real_type* in, real_type* out) const
     {
-        precond(l, in, out);
-        return dot(l, in, out);
+        return obs::traced(obs::Phase::precond, [&] {
+            real_type sum{};
+            each(l, [&](std::size_t i) {
+                apply(i, in, out);
+                sum += in[i] * out[i];
+            });
+            return sum;
+        });
     }
 
     void copy(int l, const real_type* u, real_type* v) const
     {
-        each(l, [&](std::size_t i) { v[i] = u[i]; });
+        obs::traced(obs::Phase::update,
+                    [&] { each(l, [&](std::size_t i) { v[i] = u[i]; }); });
+    }
+
+    /// ||b(:, l)||, outside any span like the width-1 group's.
+    real_type b_column_norm(int l) const
+    {
+        return std::sqrt(column_dot(l, b, b));
     }
 
     /// out = A in for every lane; a retired lane's column receives garbage
@@ -423,6 +484,19 @@ struct LaneGroup : LaneState<W> {
         obs::traced(obs::Phase::reduction,
                     [&] { blas::dot_lanes<W>(in, out, n, d); });
     }
+
+private:
+    real_type column_dot(int l, const real_type* u, const real_type* v) const
+    {
+        real_type sum{};
+        each(l, [&](std::size_t i) { sum += u[i] * v[i]; });
+        return sum;
+    }
+
+    void apply(std::size_t i, const real_type* in, real_type* out) const
+    {
+        out[i] = Jacobi ? inv_diag[i] * in[i] : in[i];
+    }
 };
 
 /// The loop-top rule of both drivers: lane l retires as `loop_exit` says,
@@ -463,30 +537,29 @@ EntryResult run_entry(typename Lanes::group& g, const Stop& stop,
 
 /// Runs one thread's slab group to queue exhaustion: its lanes advance
 /// through `Lanes::iterate` together, and a retired lane is refilled from
-/// `next_system` at the top of the loop.
+/// the batch's work queue at the top of the loop.
 template <typename Lanes, typename SourceBatch, typename Stop>
-void drain_lanes(const SourceBatch& a, const EllSlabPattern& pattern,
+void drain_lanes(const SourceBatch& a, LockstepBatch& batch,
                  const BatchVector<real_type>& b, BatchVector<real_type>& x,
                  bool zero_guess, const Stop& stop, int max_iters,
-                 Workspace& ws, std::atomic<size_type>& next_system,
-                 BatchLogStage& stage, int thread,
-                 obs::ConvergenceHistory* history)
+                 Workspace& ws, int thread, obs::ConvergenceHistory* history)
 {
     using Group = typename Lanes::group;
     constexpr int W = Group::width;
+    const EllSlabPattern& pattern = batch.pattern;
     const index_type n = pattern.rows;
     const size_type nbatch = a.num_batch();
     // Slot layout: the algorithm's vectors, then x, b, inv_diag and the
     // slab strip. Workspace slots are contiguous in one allocation, so the
     // strip is one flat array.
     real_type* slab = ws.slot(Lanes::vectors + lockstep::group_slots).data;
-    Group g(ws, Lanes::vectors, pattern, x, stage, thread, history);
+    Group g(ws, Lanes::vectors, batch, x, thread, history);
     Lanes lanes(g);
 
     // Load the next unsolved system into lane l: pack values / b / x into
     // the lane's columns, then run the algorithm's set-up on them.
     auto refill = [&](int l) -> bool {
-        const size_type i = next_system.fetch_add(1);
+        const size_type i = batch.next_system.fetch_add(1);
         if (i >= nbatch) {
             return false;
         }
@@ -496,10 +569,12 @@ void drain_lanes(const SourceBatch& a, const EllSlabPattern& pattern,
         const auto src = a.entry(i);
         pack_slab_lane(src, pattern, slab, W, l);
         if constexpr (Group::jacobi) {
-            lockstep::pack_inv_diag_lane(src, n, g.inv_diag, W, l);
+            obs::traced(obs::Phase::precond, [&] {
+                lockstep::pack_inv_diag_lane(src, n, g.inv_diag, W, l);
+            });
         }
         pack_lane(b.entry(i), LaneGroupView<real_type>{g.b, n, W}, l);
-        g.b_norm[l] = std::sqrt(g.dot(l, g.b, g.b));
+        g.b_norm[l] = g.b_column_norm(l);
         if (zero_guess) {
             zero_lane(LaneGroupView<real_type>{g.x, n, W}, l);
         } else {
@@ -529,11 +604,11 @@ void drain_lanes(const SourceBatch& a, const EllSlabPattern& pattern,
     }
 }
 
-/// Batch driver for the lockstep path: builds the shared slab pattern,
-/// sizes the (separate, rows*W-length) workspace pool, and drains one lane
-/// group per OpenMP thread against a shared work queue. Per-entry results
-/// are staged per thread and merged into the log afterwards; each thread's
-/// phase-tally growth is added to `phases`.
+/// Batch driver for the lockstep path: sets up the batch's shared state
+/// (slab pattern, rows*W-length workspaces, work queue) and drains one
+/// lane group per OpenMP thread against the shared work queue. Per-entry
+/// results are staged per thread and merged into the log afterwards; each
+/// thread's phase-tally growth is added to `phases`.
 template <typename Lanes, typename SourceBatch, typename Stop>
 void run_batch_lockstep(const SourceBatch& a, const BatchVector<real_type>& b,
                         BatchVector<real_type>& x, bool zero_guess,
@@ -542,34 +617,25 @@ void run_batch_lockstep(const SourceBatch& a, const BatchVector<real_type>& b,
                         obs::PhaseTally& phases)
 {
     constexpr int W = Lanes::group::width;
-    const EllSlabPattern pattern = make_slab_pattern(a);
-    const int nthreads = lockstep::max_threads();
-    pool.require(nthreads, pattern.rows * W,
-                 Lanes::vectors + lockstep::group_slots +
-                     pattern.nnz_per_row);
-
-    BatchLogStage stage(nthreads);
-    std::atomic<size_type> next_system{0};
-    FirstException failure;
+    LockstepBatch batch(a, pool, W, Lanes::vectors + lockstep::group_slots);
 #pragma omp parallel
     {
         // The thread's tally growth over its drain is its part of this
         // solve's phase totals.
         const obs::PhaseTally tally_before = obs::thread_phase_tally();
-        failure.run([&] {
+        batch.failure.run([&] {
             const int thread = lockstep::this_thread();
             // One span per thread covering its whole queue drain: the
             // lane-group analogue of the scalar path's per-entry span.
             obs::ScopedSpan group_span("lockstep_group", "solver", W);
-            drain_lanes<Lanes>(a, pattern, b, x, zero_guess, stop, max_iters,
-                               pool.at(thread), next_system, stage, thread,
-                               history);
+            drain_lanes<Lanes>(a, batch, b, x, zero_guess, stop, max_iters,
+                               pool.at(thread), thread, history);
         });
 #pragma omp critical(bsis_phase_fold)
         phases.add_delta(obs::thread_phase_tally(), tally_before);
     }
-    stage.merge_into(log);
-    failure.rethrow();
+    batch.finish(log);
 }
 
+}  // inline namespace BSIS_ISA_NAMESPACE
 }  // namespace bsis

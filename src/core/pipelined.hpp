@@ -39,9 +39,11 @@
 #include <cmath>
 #include <limits>
 
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
+inline namespace BSIS_ISA_NAMESPACE {
 
 /// sqrt of a recurrence-maintained squared norm: tiny negative values
 /// (cancellation) clamp to zero, but non-finite values must stay
@@ -57,4 +59,5 @@ inline real_type recurrence_norm(real_type squared)
                : std::numeric_limits<real_type>::quiet_NaN();
 }
 
+}  // inline namespace BSIS_ISA_NAMESPACE
 }  // namespace bsis

@@ -10,6 +10,7 @@
 #include "core/forensics.hpp"
 #include "core/gmres.hpp"
 #include "core/lockstep.hpp"
+#include "core/lockstep_run.hpp"
 #include "core/richardson.hpp"
 #include "core/workspace.hpp"
 #include "obs/attribution.hpp"
@@ -89,12 +90,14 @@ int effective_lockstep_width(int requested)
     return 0;
 }
 
-/// The plan a solve runs: the lockstep width (0 selects the scalar path)
-/// and whether BiCGStab / CG run the pipelined recurrences. Pricing,
-/// dispatch and the solve.start event all read this one decision.
+/// The plan a solve runs: the lockstep width (0 selects the scalar path),
+/// whether BiCGStab / CG run the pipelined recurrences, and the
+/// instruction-set level of the kernels. Pricing, dispatch and the
+/// solve.start event all read this one decision.
 struct ExecutionPlan {
     int lockstep_width = 0;
     bool pipelined = false;
+    IsaLevel isa = IsaLevel::x86_64;
 };
 
 template <typename BatchMatrix>
@@ -111,74 +114,35 @@ ExecutionPlan plan_solve(const SolverSettings& s)
         s.precond != PrecondType::block_jacobi && s.fused_kernels) {
         plan.lockstep_width = effective_lockstep_width(s.lockstep_width);
     }
+    // Only the lockstep lane drivers have a wide copy; the scalar path
+    // always runs the baseline build.
+    if (plan.lockstep_width > 0) {
+        plan.isa = lockstep_isa();
+    }
     return plan;
 }
 
-/// Runs the batch on the lockstep path with lane algorithm
-/// Lanes<LaneGroup<width, Jacobi>, Pipelined>: the one place that lists
-/// the instantiated widths.
-template <template <typename, bool> class Lanes, bool Jacobi,
-          bool Pipelined, typename BatchMatrix, typename Stop>
-void run_lockstep_width(int width, const BatchMatrix& a,
-                        const BatchVector<real_type>& b,
-                        BatchVector<real_type>& x,
-                        const SolverSettings& settings, const Stop& stop,
-                        BatchLog& log, obs::ConvergenceHistory* history,
-                        obs::PhaseTally& phases)
+/// Runs the batch on the SIMD lockstep path with the copy of the lane
+/// drivers the plan chose.
+template <typename BatchMatrix, typename Stop>
+void dispatch_lockstep(const BatchMatrix& a, const BatchVector<real_type>& b,
+                       BatchVector<real_type>& x,
+                       const SolverSettings& settings,
+                       const ExecutionPlan& plan, const Stop& stop,
+                       BatchLog& log, obs::ConvergenceHistory* history,
+                       obs::PhaseTally& phases)
 {
-    auto& pool = solve_scratch().lockstep_workspaces;
-    const bool zero_guess = !settings.use_initial_guess;
-    const int max_iters = settings.max_iterations;
-    switch (width) {
-    case 2:
-        run_batch_lockstep<Lanes<lockstep::LaneGroup<2, Jacobi>, Pipelined>>(
-            a, b, x, zero_guess, stop, max_iters, pool, log, history,
-            phases);
-        break;
-    case 4:
-        run_batch_lockstep<Lanes<lockstep::LaneGroup<4, Jacobi>, Pipelined>>(
-            a, b, x, zero_guess, stop, max_iters, pool, log, history,
-            phases);
-        break;
-    case 8:
-        run_batch_lockstep<Lanes<lockstep::LaneGroup<8, Jacobi>, Pipelined>>(
-            a, b, x, zero_guess, stop, max_iters, pool, log, history,
-            phases);
-        break;
-    default:
-        run_batch_lockstep<
-            Lanes<lockstep::LaneGroup<16, Jacobi>, Pipelined>>(
-            a, b, x, zero_guess, stop, max_iters, pool, log, history,
-            phases);
-        break;
-    }
-}
-
-/// Runs the batch on the SIMD lockstep path at the plan's width, with the
-/// lane algorithm of the plan's solver and variant.
-template <typename Prec, typename BatchMatrix, typename Stop>
-void run_lockstep(const BatchMatrix& a, const BatchVector<real_type>& b,
-                  BatchVector<real_type>& x, const SolverSettings& settings,
-                  const ExecutionPlan& plan, const Stop& stop, BatchLog& log,
-                  obs::ConvergenceHistory* history, obs::PhaseTally& phases)
-{
-    constexpr bool jacobi = std::is_same_v<Prec, JacobiPrec>;
     const int w = plan.lockstep_width;
-    if (settings.solver == SolverType::cg) {
-        if (plan.pipelined) {
-            run_lockstep_width<CgLanes, jacobi, true>(
-                w, a, b, x, settings, stop, log, history, phases);
-        } else {
-            run_lockstep_width<CgLanes, jacobi, false>(
-                w, a, b, x, settings, stop, log, history, phases);
-        }
-    } else if (plan.pipelined) {
-        run_lockstep_width<BicgstabLanes, jacobi, true>(
-            w, a, b, x, settings, stop, log, history, phases);
-    } else {
-        run_lockstep_width<BicgstabLanes, jacobi, false>(
-            w, a, b, x, settings, stop, log, history, phases);
+    auto& pool = solve_scratch().lockstep_workspaces;
+#ifdef BSIS_WIDE_LANES
+    if (plan.isa == IsaLevel::x86_64_v4) {
+        isa_v4::run_lockstep(a, b, x, settings, w, stop, pool, log, history,
+                             phases);
+        return;
     }
+#endif
+    isa_base::run_lockstep(a, b, x, settings, w, stop, pool, log, history,
+                           phases);
 }
 
 /// Runs the fully composed kernel over the batch. Prec and Stop are
@@ -192,8 +156,8 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
     if constexpr (lockstep_supported_format<BatchMatrix> &&
                   !std::is_same_v<Prec, BlockJacobiPrec>) {
         if (plan.lockstep_width > 0) {
-            run_lockstep<Prec>(a, b, x, settings, plan, stop, log, history,
-                               phases);
+            dispatch_lockstep(a, b, x, settings, plan, stop, log, history,
+                              phases);
             return;
         }
     }
@@ -496,6 +460,25 @@ void capture_failures(const BatchMatrix& a, const BatchVector<real_type>& b,
 
 }  // namespace
 
+const char* isa_name(IsaLevel level)
+{
+    return level == IsaLevel::x86_64_v4 ? "x86-64-v4" : "x86-64";
+}
+
+IsaLevel lockstep_isa()
+{
+    static const IsaLevel level = [] {
+#ifdef BSIS_WIDE_LANES
+        __builtin_cpu_init();
+        if (__builtin_cpu_supports("x86-64-v4")) {
+            return IsaLevel::x86_64_v4;
+        }
+#endif
+        return IsaLevel::x86_64;
+    }();
+    return level;
+}
+
 template <typename BatchMatrix>
 BatchSolveResult solve_batch(const BatchMatrix& a,
                              const BatchVector<real_type>& b,
@@ -521,7 +504,8 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
              obs::field("solver", solver_name(settings.solver)),
              obs::field("precond", precond_name(settings.precond)),
              obs::field("lockstep_width", plan.lockstep_width),
-             obs::field("pipelined", plan.pipelined)});
+             obs::field("pipelined", plan.pipelined),
+             obs::field("isa", isa_name(plan.isa))});
     }
 
     BatchSolveResult result;

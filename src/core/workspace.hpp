@@ -11,6 +11,7 @@
 
 #include "blas/batch_vector.hpp"
 #include "util/error.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
@@ -51,7 +52,7 @@ public:
         num_slots_ = num_slots;
     }
 
-    VecView<real_type> slot(int i)
+    BSIS_INLINE_ONLY VecView<real_type> slot(int i)
     {
         BSIS_ASSERT(i >= 0 && i < num_slots_);
         return {storage_.data() + static_cast<std::size_t>(i) * length_,
@@ -95,7 +96,7 @@ public:
         return static_cast<int>(workspaces_.size());
     }
 
-    Workspace& at(int thread)
+    BSIS_INLINE_ONLY Workspace& at(int thread)
     {
         BSIS_ASSERT(thread >= 0 &&
                     thread < static_cast<int>(workspaces_.size()));

@@ -12,6 +12,7 @@
 
 #include "blas/batch_vector.hpp"
 #include "util/error.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
@@ -79,7 +80,7 @@ public:
                                       col_idxs_.size() * sizeof(index_type));
     }
 
-    CsrView<T> entry(size_type b) const
+    BSIS_INLINE_ONLY CsrView<T> entry(size_type b) const
     {
         BSIS_ASSERT(b >= 0 && b < num_batch_);
         return {rows_, row_ptrs_.data(), col_idxs_.data(),

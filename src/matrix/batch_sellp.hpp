@@ -15,6 +15,7 @@
 #include "blas/batch_vector.hpp"
 #include "matrix/batch_ell.hpp"
 #include "util/error.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
@@ -101,7 +102,7 @@ public:
                                           sizeof(index_type));
     }
 
-    SellpView<T> entry(size_type b) const
+    BSIS_INLINE_ONLY SellpView<T> entry(size_type b) const
     {
         BSIS_ASSERT(b >= 0 && b < num_batch_);
         return {rows_, slice_size_, slice_sets_.data(), col_idxs_.data(),

@@ -25,6 +25,7 @@
 #include "matrix/batch_ell.hpp"
 #include "matrix/batch_sellp.hpp"
 #include "util/error.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace bsis {
@@ -113,6 +114,10 @@ inline EllSlabPattern make_slab_pattern(const BatchSellp<real_type>& a)
     }
     return p;
 }
+
+// The slab kernels run in the lane drivers, once per instruction-set copy
+// (util/isa.hpp).
+inline namespace BSIS_ISA_NAMESPACE {
 
 /// Packs one CSR entry's values into lane `lane` of the slab (trailing
 /// padding slots of each row are zeroed).
@@ -299,5 +304,7 @@ inline void spmv_slab_lane(const EllSlabView<T>& a, int lane, const T* x,
         y[static_cast<std::size_t>(r) * a.width + lane] = sum;
     }
 }
+
+}  // inline namespace BSIS_ISA_NAMESPACE
 
 }  // namespace bsis

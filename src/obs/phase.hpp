@@ -14,6 +14,8 @@
 
 #include <cstdint>
 
+#include "util/isa.hpp"
+
 namespace bsis::obs {
 
 /// Kernel phase kinds, matching the span names used since the telemetry
@@ -162,7 +164,8 @@ struct PhaseTally {
     }
 
     /// Adds `later - earlier`, two readings of one thread's tally.
-    void add_delta(const PhaseTally& later, const PhaseTally& earlier)
+    BSIS_INLINE_ONLY void add_delta(const PhaseTally& later,
+                                    const PhaseTally& earlier)
     {
         for (int p = 0; p < phase_count; ++p) {
             ns[p] += later.ns[p] - earlier.ns[p];

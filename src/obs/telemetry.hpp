@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
+#include "util/isa.hpp"
 
 namespace bsis::obs {
 
@@ -61,8 +62,9 @@ void sync_trace_dropped_gauge();
 /// flag flip mid-span cannot unbalance the per-thread stack).
 class ScopedSpan {
 public:
-    explicit ScopedSpan(const char* name, const char* cat = "solver",
-                        std::int64_t arg = -1)
+    BSIS_INLINE_ONLY explicit ScopedSpan(const char* name,
+                                         const char* cat = "solver",
+                                         std::int64_t arg = -1)
     {
         if (trace_enabled()) {
             active_ = true;
@@ -73,7 +75,7 @@ public:
     ScopedSpan(const ScopedSpan&) = delete;
     ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-    ~ScopedSpan()
+    BSIS_INLINE_ONLY ~ScopedSpan()
     {
         if (active_) {
             trace().end();
@@ -129,7 +131,8 @@ inline std::int64_t thread_cpu_ns()
 /// spans record their wall time on both axes.
 class PhaseTimer {
 public:
-    explicit PhaseTimer(Phase phase, const char* span_name = nullptr)
+    BSIS_INLINE_ONLY explicit PhaseTimer(Phase phase,
+                                         const char* span_name = nullptr)
         : phase_(phase),
           name_(span_name),
           metrics_(metrics_enabled()),
@@ -143,7 +146,7 @@ public:
     PhaseTimer(const PhaseTimer&) = delete;
     PhaseTimer& operator=(const PhaseTimer&) = delete;
 
-    ~PhaseTimer()
+    BSIS_INLINE_ONLY ~PhaseTimer()
     {
         if (metrics_ || trace_) {
             finish();

@@ -6,7 +6,6 @@
 // never on a hot path that matters relative to the numerical work).
 #pragma once
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -51,16 +50,14 @@ public:
     {}
 };
 
+/// Throws NumericalBreakdown(where, detail). Out of line, like
+/// assert_fail, so code compiled once per instruction-set copy can throw
+/// without emitting the exception types' inline members (util/isa.hpp).
+[[noreturn]] void throw_breakdown(const char* where, const char* detail);
+
 namespace detail {
 
-[[noreturn]] inline void assert_fail(const char* expr, const char* file,
-                                     int line)
-{
-    std::ostringstream os;
-    os << "bsis internal assertion failed: (" << expr << ") at " << file << ":"
-       << line;
-    throw Error(os.str());
-}
+[[noreturn]] void assert_fail(const char* expr, const char* file, int line);
 
 }  // namespace detail
 

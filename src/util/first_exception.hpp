@@ -19,10 +19,7 @@ public:
         try {
             body();
         } catch (...) {
-#pragma omp critical(bsis_first_exception)
-            if (!first_) {
-                first_ = std::current_exception();
-            }
+            keep_current();
         }
     }
 
@@ -35,6 +32,11 @@ public:
     }
 
 private:
+    /// Keeps the exception being handled unless one was kept before. Out
+    /// of line, so code compiled once per instruction-set copy can run
+    /// bodies without emitting std::exception_ptr's members (util/isa.hpp).
+    void keep_current() noexcept;
+
     std::exception_ptr first_;
 };
 

@@ -748,6 +748,40 @@ TEST_F(AttributionEndToEnd, LockstepPathAttributesAndStaysWithinRoofline)
     EXPECT_GT(snap.counter("obs.drift.checks"), 0);
 }
 
+TEST_F(AttributionEndToEnd, LockstepSetUpOpensTheScalarPathsSpans)
+{
+    // With no iterations a solve is all set-up: the set-up residual, the
+    // Jacobi inversion and each algorithm's first vectors. The ledger
+    // charges that work per system on every path, so lockstep lanes must
+    // run each set-up sweep in the span of the phase the scalar path does.
+    auto p = make_problem(8);
+    for (const auto solver : {SolverType::bicgstab, SolverType::cg}) {
+        for (const bool pipelined : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << (solver == SolverType::cg ? "cg" : "bicgstab")
+                         << (pipelined ? " pipelined" : " classic"));
+            SolverSettings settings;
+            settings.solver = solver;
+            settings.precond = PrecondType::jacobi;
+            settings.pipelined = pipelined;
+            settings.max_iterations = 0;
+            BatchVector<real_type> x(p.a.num_batch(), p.a.rows());
+            obs::set_metrics_enabled(true);
+            const auto scalar = solve_batch(p.a, p.b, x, settings);
+            settings.lockstep_width = 4;
+            const auto lanes = solve_batch(p.a, p.b, x, settings);
+            obs::set_metrics_enabled(false);
+            ASSERT_EQ(lanes.work.simd_lanes, 4);
+            EXPECT_EQ(scalar.phases.calls[static_cast<int>(obs::Phase::spmv)],
+                      p.a.num_batch());
+            for (int ph = 0; ph < obs::phase_count; ++ph) {
+                EXPECT_EQ(lanes.phases.calls[ph], scalar.phases.calls[ph])
+                    << obs::phase_name(static_cast<obs::Phase>(ph));
+            }
+        }
+    }
+}
+
 TEST_F(AttributionEndToEnd, SimGpuPathAttributesAndStaysWithinRoofline)
 {
     auto p = make_problem(6);

@@ -3,7 +3,8 @@
 // (fewer systems than lanes, ragged tails, empty batches, instantly
 // converged lanes beside iterating lane-mates), warm starts, relative
 // stopping, a diagonal repeated in the pattern, the fallback rules for
-// unsupported compositions, and bitwise-equal convergence histories.
+// unsupported compositions, bitwise-equal convergence histories, and the
+// wide (x86-64-v4) copy of the lane drivers against the baseline copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/forensics.hpp"
+#include "core/lockstep_run.hpp"
 #include "core/solver.hpp"
 #include "io/matrix_market.hpp"
 #include "matrix/conversions.hpp"
@@ -447,6 +449,120 @@ TEST(Lockstep, SolveBatchSellpEndToEnd)
     result = solve_batch(sellp, p.b, x, s);
     EXPECT_TRUE(result.log.all_converged());
     EXPECT_EQ(result.work.simd_lanes, 8);
+}
+
+/// One copy of the lane drivers' outcome on a batch.
+struct CopyOutcome {
+    BatchLog log;
+    BatchVector<real_type> x;
+    obs::ConvergenceHistory history;
+};
+
+template <bool Wide, typename BatchMatrix, typename Stop>
+CopyOutcome run_copy(const BatchMatrix& a, const BatchVector<real_type>& b,
+                     const SolverSettings& s, int width, const Stop& stop)
+{
+    CopyOutcome out{BatchLog(a.num_batch()),
+                    BatchVector<real_type>(a.num_batch(), a.rows()),
+                    {}};
+    out.history.reset(a.num_batch(), 4);
+    WorkspacePool pool;
+    obs::PhaseTally phases;
+    if constexpr (Wide) {
+#ifdef BSIS_WIDE_LANES
+        isa_v4::run_lockstep(a, b, out.x, s, width, stop, pool, out.log,
+                             &out.history, phases);
+#endif
+    } else {
+        isa_base::run_lockstep(a, b, out.x, s, width, stop, pool, out.log,
+                               &out.history, phases);
+    }
+    return out;
+}
+
+/// Runs both copies on the same batch and checks every outcome bit.
+template <typename BatchMatrix, typename Stop>
+void expect_copies_match(const BatchMatrix& a, const BatchVector<real_type>& b,
+                         const SolverSettings& s, int width, const Stop& stop)
+{
+    const auto base = run_copy<false>(a, b, s, width, stop);
+    const auto wide = run_copy<true>(a, b, s, width, stop);
+    for (size_type i = 0; i < a.num_batch(); ++i) {
+        SCOPED_TRACE(testing::Message() << "system " << i);
+        EXPECT_EQ(base.log.converged(i), wide.log.converged(i));
+        EXPECT_EQ(base.log.iterations(i), wide.log.iterations(i));
+        EXPECT_TRUE(same_bits(base.log.residual_norm(i),
+                              wide.log.residual_norm(i)));
+        EXPECT_EQ(base.log.failure(i), wide.log.failure(i));
+        for (index_type k = 0; k < a.rows(); ++k) {
+            EXPECT_TRUE(same_bits(base.x.entry(i)[k], wide.x.entry(i)[k]))
+                << "row " << k;
+        }
+        const auto& hb = base.history.points(i);
+        const auto& hw = wide.history.points(i);
+        ASSERT_EQ(hb.size(), hw.size());
+        for (std::size_t k = 0; k < hb.size(); ++k) {
+            EXPECT_EQ(hb[k].iteration, hw[k].iteration);
+            EXPECT_TRUE(same_bits(hb[k].residual, hw[k].residual));
+        }
+        EXPECT_EQ(base.history.final_point(i).iteration,
+                  wide.history.final_point(i).iteration);
+        EXPECT_TRUE(same_bits(base.history.final_point(i).residual,
+                              wide.history.final_point(i).residual));
+    }
+}
+
+TEST(LockstepIsa, WideCopyMatchesBaselineBitForBit)
+{
+#ifndef BSIS_WIDE_LANES
+    GTEST_SKIP() << "the x86-64-v4 copy of the lane drivers is not built";
+#endif
+    if (lockstep_isa() != IsaLevel::x86_64_v4) {
+        GTEST_SKIP() << "this CPU does not support x86-64-v4";
+    }
+    for (const bool cg : {false, true}) {
+        // A NaN right-hand side retires at iteration 0 as non-finite, a
+        // zero one as converged, both beside iterating lane-mates.
+        auto p = Problem::make(13, 8, 7, /*spd=*/cg);
+        for (index_type k = 0; k < p.a.rows(); ++k) {
+            p.b.entry(2)[k] = std::nan("");
+            p.b.entry(5)[k] = 0.0;
+        }
+        const auto ell = to_ell(p.a);
+        const auto sellp = to_sellp(p.a, 16);
+        for (const bool jacobi : {false, true}) {
+            for (const bool pipelined : {false, true}) {
+                for (const int width : {2, 4, 8, 16}) {
+                    SolverSettings s;
+                    s.solver = cg ? SolverType::cg : SolverType::bicgstab;
+                    s.precond = jacobi ? PrecondType::jacobi
+                                       : PrecondType::identity;
+                    s.pipelined = pipelined;
+                    s.max_iterations = 300;
+                    SCOPED_TRACE(testing::Message()
+                                 << (cg ? "cg" : "bicgstab")
+                                 << (jacobi ? " jacobi" : " identity")
+                                 << (pipelined ? " pipelined" : " classic")
+                                 << " width " << width);
+                    for (const bool rel : {false, true}) {
+                        SCOPED_TRACE(rel ? "rel stop" : "abs stop");
+                        const auto check = [&](const auto& a) {
+                            if (rel) {
+                                expect_copies_match(a, p.b, s, width,
+                                                    RelResidualStop{1e-8});
+                            } else {
+                                expect_copies_match(a, p.b, s, width,
+                                                    AbsResidualStop{1e-10});
+                            }
+                        };
+                        check(p.a);
+                        check(ell);
+                        check(sellp);
+                    }
+                }
+            }
+        }
+    }
 }
 
 }  // namespace
