@@ -42,7 +42,7 @@ struct ConstVecView {
     const T* end() const { return data + len; }
 };
 
-/// Mutable view of a batch-interleaved lane group: `width` vectors of
+/// Read-only view of a batch-interleaved lane group: `width` vectors of
 /// length `len` stored batch-major (SoA over lanes), element i of lane l
 /// at data[i * width + l]. This is the host analogue of the paper's
 /// one-thread-block-per-system layout turned sideways: where the GPU's
@@ -50,27 +50,14 @@ struct ConstVecView {
 /// lanes sweep `width` SYSTEMS in lockstep, so each row step is one
 /// contiguous width-`width` vector operation.
 template <typename T>
-struct LaneGroupView {
-    T* data = nullptr;
-    index_type len = 0;  ///< rows per lane
-    int width = 0;       ///< lanes in the group
-
-    T& at(index_type i, int lane) const { return data[i * width + lane]; }
-};
-
-/// Read-only view of a batch-interleaved lane group.
-template <typename T>
 struct ConstLaneGroupView {
     const T* data = nullptr;
-    index_type len = 0;
-    int width = 0;
+    index_type len = 0;  ///< rows per lane
+    int width = 0;       ///< lanes in the group
 
     ConstLaneGroupView() = default;
     ConstLaneGroupView(const T* d, index_type l, int w)
         : data(d), len(l), width(w)
-    {}
-    ConstLaneGroupView(LaneGroupView<T> v)
-        : data(v.data), len(v.len), width(v.width)
     {}
 
     const T& at(index_type i, int lane) const
@@ -79,20 +66,9 @@ struct ConstLaneGroupView {
     }
 };
 
-// The lane packers run in the lane drivers, once per instruction-set copy
+// The lane unpacker runs in the lane drivers, once per instruction-set copy
 // (util/isa.hpp).
 inline namespace BSIS_ISA_NAMESPACE {
-
-/// Packs one entry-major vector into lane `lane` of an interleaved group:
-/// group(i, lane) := x[i] for i < x.len; rows past x.len are untouched.
-template <typename T>
-inline void pack_lane(ConstVecView<T> x, LaneGroupView<T> group, int lane)
-{
-    BSIS_ASSERT(lane >= 0 && lane < group.width && x.len <= group.len);
-    for (index_type i = 0; i < x.len; ++i) {
-        group.at(i, lane) = x[i];
-    }
-}
 
 /// Unpacks lane `lane` of an interleaved group back into an entry-major
 /// vector: x[i] := group(i, lane).
@@ -102,16 +78,6 @@ inline void unpack_lane(ConstLaneGroupView<T> group, int lane, VecView<T> x)
     BSIS_ASSERT(lane >= 0 && lane < group.width && x.len <= group.len);
     for (index_type i = 0; i < x.len; ++i) {
         x[i] = group.at(i, lane);
-    }
-}
-
-/// Zeroes lane `lane` of an interleaved group.
-template <typename T>
-inline void zero_lane(LaneGroupView<T> group, int lane)
-{
-    BSIS_ASSERT(lane >= 0 && lane < group.width);
-    for (index_type i = 0; i < group.len; ++i) {
-        group.at(i, lane) = T{};
     }
 }
 

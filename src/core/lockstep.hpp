@@ -291,30 +291,13 @@ private:
 };
 
 /// Workspace slots every slab group holds after its algorithm's vectors:
-/// x, b and inv_diag; the matrix slab strip takes `nnz_per_row` more.
+/// x, inv_diag and a loading lane's set-up product A x (contiguous); the
+/// matrix slab strip takes `nnz_per_row` more.
 inline constexpr int group_slots = 3;
 
-/// Scalar-Jacobi setup for one lane: inv_diag(:, lane) := 1 / diag(A_i).
-/// Extracts from the SOURCE format view, never from the slab pattern
-/// (whose padding slots alias column 0), with the diagonal rule and the
-/// zero-diagonal breakdown of JacobiPrec::generate.
-template <typename MatrixView>
-inline void pack_inv_diag_lane(const MatrixView& a, index_type rows,
-                               real_type* inv_diag, int width, int lane)
-{
-    for (index_type r = 0; r < rows; ++r) {
-        const real_type d = diagonal_at(a, r);
-        if (d == real_type{0}) {
-            throw_breakdown("JacobiPrec", "zero diagonal entry");
-        }
-        inv_diag[static_cast<std::size_t>(r) * width + lane] =
-            real_type{1} / d;
-    }
-}
-
-/// One thread's group of W lockstep lanes: interleaved x / b / inv_diag
-/// columns and the matrix slab in the workspace slots after the policy's
-/// vectors. A retiring lane reports to the batch log and writes its
+/// One thread's group of W lockstep lanes: interleaved x / inv_diag
+/// columns, a loading lane's set-up product and the matrix slab in the
+/// workspace slots after the policy's vectors. A retiring lane reports to the batch log and writes its
 /// solution column back to the caller's entry-major x. A lane's set-up
 /// sweeps run over its own column, once per system, each in the span of
 /// the phase the width-1 group runs it in.
@@ -327,9 +310,11 @@ struct LaneGroup : LaneState<W> {
               BatchVector<real_type>& x_out, int thread,
               obs::ConvergenceHistory* history)
         : n(batch.pattern.rows), x(ws.slot(vectors).data),
-          b(ws.slot(vectors + 1).data), inv_diag(ws.slot(vectors + 2).data),
+          inv_diag(ws.slot(vectors + 1).data),
+          setup_ax(ws.slot(vectors + 2).data),
+          slab(ws.slot(vectors + group_slots).data),
           av{n, batch.pattern.nnz_per_row, batch.pattern.col_idxs.data(),
-             ws.slot(vectors + group_slots).data, W},
+             slab, W},
           ws(ws), x_out(x_out), batch(batch), thread(thread)
     {
         this->history = history;
@@ -337,13 +322,16 @@ struct LaneGroup : LaneState<W> {
 
     index_type n;
     real_type* x;
-    real_type* b;
     real_type* inv_diag;
+    real_type* setup_ax;
+    real_type* slab;
     EllSlabView<real_type> av;
     Workspace& ws;
     BatchVector<real_type>& x_out;
     LockstepBatch& batch;
     int thread;
+    /// The loading lane's right-hand side, entry-major.
+    const real_type* setup_b = nullptr;
 
     real_type* slot(int i) { return ws.slot(i).data; }
 
@@ -361,6 +349,41 @@ struct LaneGroup : LaneState<W> {
         this->park(l);
     }
 
+    /// Loads `system` into lane l from its entry-major values (in the
+    /// source format's order), right-hand side and initial guess (nullptr:
+    /// zero): the slab and x columns with the set-up A x in one pass
+    /// (load_slab_lane), then Jacobi's inverse diagonal column while the
+    /// values are in cache, then ||b||. The policy's set-up runs next.
+    void load(int l, size_type system, const real_type* values,
+              const real_type* b, const real_type* x0)
+    {
+        this->sys[l] = system;
+        setup_b = b;
+        obs::traced(obs::Phase::spmv, [&] {
+            if (x0 != nullptr) {
+                load_slab_lane<W>(
+                    batch.pattern, values,
+                    [&](index_type c) { return x0[c]; }, slab, x, setup_ax,
+                    l);
+            } else {
+                load_slab_lane<W>(
+                    batch.pattern, values,
+                    [](index_type) { return real_type{}; }, slab, x,
+                    setup_ax, l);
+            }
+        });
+        if constexpr (Jacobi) {
+            obs::traced(obs::Phase::precond,
+                        [&] { invert_diagonal(l, values); });
+        }
+        // ||b||, outside any span like the width-1 group's.
+        real_type sum{};
+        for (index_type j = 0; j < n; ++j) {
+            sum += b[j] * b[j];
+        }
+        this->b_norm[l] = std::sqrt(sum);
+    }
+
     /// f(idx) for each element of lane l's column, in ascending order.
     template <typename F>
     void each(int l, F&& f) const
@@ -370,16 +393,15 @@ struct LaneGroup : LaneState<W> {
         }
     }
 
-    /// r(:, l) = b - A x fused with ||r(:, l)||; init(idx, r_idx) seeds
-    /// the policy's other vectors in the same sweep.
+    /// The loaded lane's set-up residual r(:, l) = b - A x, fused with
+    /// ||r(:, l)||; init(idx, r_idx) seeds the policy's other vectors in
+    /// the same sweep. A x is the product `load` left.
     template <typename Init>
     real_type residual(int l, real_type* r, Init&& init) const
     {
-        obs::traced(obs::Phase::spmv, [&] { spmv_slab_lane(av, l, x, r); });
         return obs::traced(obs::Phase::update, [&] {
             real_type sum{};
-            each(l, [&](std::size_t i) {
-                r[i] = b[i] - r[i];
+            b_minus_ax(l, r, [&](std::size_t i) {
                 sum += r[i] * r[i];
                 init(i, r[i]);
             });
@@ -387,14 +409,12 @@ struct LaneGroup : LaneState<W> {
         });
     }
 
-    /// r(:, l) = b - A x, then ||r(:, l)|| in a reduction sweep: the
-    /// width-1 group's unfused set-up residual.
+    /// The loaded lane's r(:, l) = b - A x, then ||r(:, l)|| in a
+    /// reduction sweep: the width-1 group's unfused set-up residual.
     real_type residual(int l, real_type* r) const
     {
-        obs::traced(obs::Phase::spmv, [&] { spmv_slab_lane(av, l, x, r); });
-        obs::traced(obs::Phase::update, [&] {
-            each(l, [&](std::size_t i) { r[i] = b[i] - r[i]; });
-        });
+        obs::traced(obs::Phase::update,
+                    [&] { b_minus_ax(l, r, [](std::size_t) {}); });
         return std::sqrt(dot(l, r, r));
     }
 
@@ -430,12 +450,6 @@ struct LaneGroup : LaneState<W> {
     {
         obs::traced(obs::Phase::update,
                     [&] { each(l, [&](std::size_t i) { v[i] = u[i]; }); });
-    }
-
-    /// ||b(:, l)||, outside any span like the width-1 group's.
-    real_type b_column_norm(int l) const
-    {
-        return std::sqrt(column_dot(l, b, b));
     }
 
     /// out = A in for every lane; a retired lane's column receives garbage
@@ -486,6 +500,39 @@ struct LaneGroup : LaneState<W> {
     }
 
 private:
+    /// r(:, l) = b - A x from the loaded lane's entry-major b and set-up
+    /// product, then f(idx) for each element in ascending order.
+    template <typename F>
+    void b_minus_ax(int l, real_type* r, F&& f) const
+    {
+        for (index_type j = 0; j < n; ++j) {
+            const std::size_t i = static_cast<std::size_t>(j) * W + l;
+            r[i] = setup_b[j] - setup_ax[j];
+            f(i);
+        }
+    }
+
+    /// inv_diag(:, l) = 1 / diag(A) of the entry with `values`: each row's
+    /// diagonal slots (the pattern's diagonal-slot list) summed in slot
+    /// order from zero, the `diagonal_at` rule of the scalar JacobiPrec,
+    /// with its zero-diagonal breakdown (a row without a diagonal slot
+    /// sums to zero).
+    void invert_diagonal(int l, const real_type* values) const
+    {
+        const index_type* ptrs = batch.pattern.diag_ptrs.data();
+        const index_type* pos = batch.pattern.diag_pos.data();
+        for (index_type r = 0; r < n; ++r) {
+            real_type d{};
+            for (index_type q = ptrs[r]; q < ptrs[r + 1]; ++q) {
+                d += values[pos[q]];
+            }
+            if (d == real_type{0}) {
+                throw_breakdown("JacobiPrec", "zero diagonal entry");
+            }
+            inv_diag[static_cast<std::size_t>(r) * W + l] = real_type{1} / d;
+        }
+    }
+
     real_type column_dot(int l, const real_type* u, const real_type* v) const
     {
         real_type sum{};
@@ -546,18 +593,15 @@ void drain_lanes(const SourceBatch& a, LockstepBatch& batch,
 {
     using Group = typename Lanes::group;
     constexpr int W = Group::width;
-    const EllSlabPattern& pattern = batch.pattern;
-    const index_type n = pattern.rows;
     const size_type nbatch = a.num_batch();
-    // Slot layout: the algorithm's vectors, then x, b, inv_diag and the
-    // slab strip. Workspace slots are contiguous in one allocation, so the
-    // strip is one flat array.
-    real_type* slab = ws.slot(Lanes::vectors + lockstep::group_slots).data;
+    // Slot layout: the algorithm's vectors, then x, inv_diag, the set-up
+    // product and the slab strip. Workspace slots are contiguous in one
+    // allocation, so the strip is one flat array.
     Group g(ws, Lanes::vectors, batch, x, thread, history);
     Lanes lanes(g);
 
-    // Load the next unsolved system into lane l: pack values / b / x into
-    // the lane's columns, then run the algorithm's set-up on them.
+    // Load the next unsolved system into lane l and run the algorithm's
+    // set-up on it.
     auto refill = [&](int l) -> bool {
         const size_type i = batch.next_system.fetch_add(1);
         if (i >= nbatch) {
@@ -565,22 +609,8 @@ void drain_lanes(const SourceBatch& a, LockstepBatch& batch,
         }
         obs::ScopedSpan span("lane_refill", "solver",
                              static_cast<std::int64_t>(i));
-        g.sys[l] = i;
-        const auto src = a.entry(i);
-        pack_slab_lane(src, pattern, slab, W, l);
-        if constexpr (Group::jacobi) {
-            obs::traced(obs::Phase::precond, [&] {
-                lockstep::pack_inv_diag_lane(src, n, g.inv_diag, W, l);
-            });
-        }
-        pack_lane(b.entry(i), LaneGroupView<real_type>{g.b, n, W}, l);
-        g.b_norm[l] = g.b_column_norm(l);
-        if (zero_guess) {
-            zero_lane(LaneGroupView<real_type>{g.x, n, W}, l);
-        } else {
-            pack_lane(ConstVecView<real_type>(x.entry(i)),
-                      LaneGroupView<real_type>{g.x, n, W}, l);
-        }
+        g.load(l, i, a.entry(i).values, b.entry(i).data,
+               zero_guess ? nullptr : x.entry(i).data);
         g.start(l, lanes.setup(g, l));
         return true;
     };

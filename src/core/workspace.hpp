@@ -7,6 +7,8 @@
 // loop.
 #pragma once
 
+#include <cstddef>
+#include <new>
 #include <vector>
 
 #include "blas/batch_vector.hpp"
@@ -16,7 +18,39 @@
 
 namespace bsis {
 
+/// Allocator whose blocks start on a 64-byte cache-line boundary.
+template <typename T>
+struct CacheLineAllocator {
+    using value_type = T;
+    static constexpr std::align_val_t alignment{64};
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U>&)
+    {}
+
+    T* allocate(std::size_t n)
+    {
+        return static_cast<T*>(::operator new(n * sizeof(T), alignment));
+    }
+    void deallocate(T* p, std::size_t n)
+    {
+        ::operator delete(p, n * sizeof(T), alignment);
+    }
+
+    friend bool operator==(const CacheLineAllocator&,
+                           const CacheLineAllocator&)
+    {
+        return true;
+    }
+};
+
 /// Fixed number of equal-length scratch vectors, handed out as views.
+///
+/// The storage starts on a cache line. A lockstep group's slots are
+/// n * W elements long and its lane rows W elements, so every lane row
+/// then starts at a multiple of its own size from a line boundary, and
+/// none straddles two lines.
 class Workspace {
 public:
     Workspace() = default;
@@ -62,7 +96,7 @@ public:
 private:
     index_type length_ = 0;
     int num_slots_ = 0;
-    std::vector<real_type> storage_;
+    std::vector<real_type, CacheLineAllocator<real_type>> storage_;
 };
 
 /// Per-thread workspace pool, persistent across batched solves.

@@ -2,7 +2,9 @@
 // singular inputs, breakdown paths, and limits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/monolithic.hpp"
@@ -46,6 +48,14 @@ TEST(EdgeCases, EmptyBatchSolveIsANoop)
     // Vacuously true: no system failed to converge, consistent with the
     // executors' empty-batch early-return reporting success.
     EXPECT_TRUE(result.log.all_converged());
+    // The lockstep path builds its slab pattern from the shared pattern
+    // alone, in every sparse format.
+    SolverSettings lanes;
+    lanes.lockstep_width = 4;
+    EXPECT_TRUE(solve_batch(a, b, x, lanes).log.all_converged());
+    EXPECT_TRUE(solve_batch(to_ell(a), b, x, lanes).log.all_converged());
+    EXPECT_TRUE(
+        solve_batch(to_sellp(a, 2), b, x, lanes).log.all_converged());
 }
 
 TEST(EdgeCases, OneByOneSystems)
@@ -102,6 +112,84 @@ TEST(EdgeCases, JacobiThrowsOnZeroDiagonal)
     SolverSettings s;
     s.precond = PrecondType::jacobi;
     EXPECT_THROW(solve_batch(a, b, x, s), NumericalBreakdown);
+}
+
+/// A tridiagonal batch (diagonal 4, off-diagonals -1) whose row
+/// `no_diag_row` has only its off-diagonal slots (-1: every row has one).
+BatchCsr<real_type> tridiagonal_batch(size_type nbatch, index_type n,
+                                      index_type no_diag_row)
+{
+    std::vector<index_type> row_ptrs{0};
+    std::vector<index_type> col_idxs;
+    for (index_type r = 0; r < n; ++r) {
+        for (index_type c = std::max(r - 1, index_type{0});
+             c <= std::min(r + 1, n - 1); ++c) {
+            if (c != r || r != no_diag_row) {
+                col_idxs.push_back(c);
+            }
+        }
+        row_ptrs.push_back(static_cast<index_type>(col_idxs.size()));
+    }
+    BatchCsr<real_type> batch(nbatch, n, row_ptrs, col_idxs);
+    for (size_type b = 0; b < nbatch; ++b) {
+        for (index_type q = 0; q < row_ptrs.back(); ++q) {
+            batch.values(b)[q] = 4.0;
+        }
+        for (index_type r = 0; r < n; ++r) {
+            for (index_type q = row_ptrs[r]; q < row_ptrs[r + 1]; ++q) {
+                if (col_idxs[q] != r) {
+                    batch.values(b)[q] = -1.0;
+                }
+            }
+        }
+    }
+    return batch;
+}
+
+/// Expects the Jacobi BiCGStab solve of `a` to throw NumericalBreakdown
+/// on the scalar path and on lockstep lanes of width 4 and 8, for `a` in
+/// CSR, ELL and SELL-P.
+void expect_jacobi_breakdown_on_every_path(const BatchCsr<real_type>& a)
+{
+    const auto ell = to_ell(a);
+    const auto sellp = to_sellp(a, 4);
+    const BatchVector<real_type> b(a.num_batch(), a.rows(), 1.0);
+    // The healthy twin of `a` checks that each width runs lockstep lanes.
+    const auto healthy = tridiagonal_batch(a.num_batch(), a.rows(), -1);
+    for (const int width : {0, 4, 8}) {
+        SCOPED_TRACE(testing::Message() << "width " << width);
+        SolverSettings s;
+        s.precond = PrecondType::jacobi;
+        s.lockstep_width = width;
+        BatchVector<real_type> x(a.num_batch(), a.rows());
+        ASSERT_EQ(solve_batch(healthy, b, x, s).work.simd_lanes,
+                  std::max(width, 1));
+        EXPECT_THROW(solve_batch(a, b, x, s), NumericalBreakdown) << "CSR";
+        EXPECT_THROW(solve_batch(ell, b, x, s), NumericalBreakdown) << "ELL";
+        EXPECT_THROW(solve_batch(sellp, b, x, s), NumericalBreakdown)
+            << "SELL-P";
+    }
+}
+
+TEST(EdgeCases, LockstepJacobiThrowsOnZeroDiagonal)
+{
+    // One system of the batch has a zero on row 3's diagonal: the lane
+    // that loads it must throw, as JacobiPrec does on the scalar path.
+    auto a = tridiagonal_batch(10, 6, -1);
+    const auto& ptrs = a.row_ptrs();
+    for (index_type q = ptrs[3]; q < ptrs[4]; ++q) {
+        if (a.col_idxs()[q] == 3) {
+            a.values(5)[q] = 0.0;
+        }
+    }
+    expect_jacobi_breakdown_on_every_path(a);
+}
+
+TEST(EdgeCases, LockstepJacobiThrowsOnRowWithoutDiagonalSlot)
+{
+    // Row 2 of the shared pattern has no diagonal slot, so its diagonal
+    // is zero in every system.
+    expect_jacobi_breakdown_on_every_path(tridiagonal_batch(10, 6, 2));
 }
 
 TEST(EdgeCases, BicgstabReportsBreakdownOnSingularSystem)
@@ -237,6 +325,32 @@ TEST(EdgeCases, WorkspaceShapeTracksRequestStorageNeverShrinks)
     EXPECT_EQ(ws.num_slots(), 4);
     auto v = ws.slot(3);
     EXPECT_EQ(v.len, 20);
+}
+
+TEST(EdgeCases, WorkspacePoolSlotsStartOnCacheLines)
+{
+    // A lockstep group's slots are rows * W elements long. With the
+    // storage on a cache line, every slot -- and so every W-lane row of
+    // it -- starts on one, before and after the pool grows.
+    for (const int width : {8, 16}) {
+        SCOPED_TRACE(testing::Message() << "width " << width);
+        WorkspacePool pool;
+        const auto expect_aligned = [&] {
+            for (int t = 0; t < pool.num_threads(); ++t) {
+                Workspace& ws = pool.at(t);
+                for (int i = 0; i < ws.num_slots(); ++i) {
+                    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
+                                  ws.slot(i).data) % 64,
+                              0u)
+                        << "thread " << t << " slot " << i;
+                }
+            }
+        };
+        pool.require(2, 992 * width, 13);
+        expect_aligned();
+        pool.require(3, 992 * width, 21);
+        expect_aligned();
+    }
 }
 
 }  // namespace
