@@ -114,7 +114,8 @@ ctest --test-dir "$BUILD_DIR" -L perf --output-on-failure
 # any region with more than one thread; the tier therefore runs one OpenMP
 # thread, and the races it can see are those between the tests' own
 # std::threads (concurrent solves, registry recording, trace clearing,
-# concurrent batch assembly, one collision operator shared by threads).
+# concurrent batch assembly, one collision operator shared by threads,
+# concurrent width-1 solves of batches with different patterns).
 # Any ThreadSanitizer report makes the test binary exit 66 and fails the
 # tier.
 echo "== thread sanitizer tier =="
@@ -123,7 +124,7 @@ cmake -B "$TSAN_DIR" -S . -DBSIS_BUILD_BENCH=OFF -DBSIS_BUILD_EXAMPLES=OFF \
     -DBSIS_BUILD_TOOLS=OFF "-DCMAKE_CXX_FLAGS=-fsanitize=thread -g" \
     "-DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread"
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
-    --target test_obs test_attribution test_xgc
+    --target test_obs test_attribution test_xgc test_row_blocks
 # Runs the tests of one binary that match a gtest filter and fails unless
 # exactly the expected number ran and passed (a renamed test must not
 # silently drop out of the tier).
@@ -147,6 +148,8 @@ tsan_run test_attribution \
 tsan_run test_obs 'Metrics.ShardedRecordingMergesExactlyAcrossThreads:Metrics.GaugeMergeKeepsTheLatestWriteAcrossShards:Trace.ClearWhileOtherThreadsRecord' 3
 tsan_run test_xgc \
     'Workload.ConcurrentAssemblyMatchesSerial:CollisionOperator.SharedOperatorAssemblesConcurrently' 2
+tsan_run test_row_blocks \
+    'RowBlockSpmv.ConcurrentSolvesWithDifferentPatternsMatchTheirSoloRuns' 1
 
 # AddressSanitizer + UndefinedBehaviorSanitizer: the whole ctest suite in
 # a fourth build dir compiled and linked with -fsanitize=address,undefined.

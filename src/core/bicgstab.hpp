@@ -305,17 +305,20 @@ private:
 /// every iteration (the per-system logging of the paper's Listing 1
 /// LogType). `Pipelined` selects the pipelined recurrences: two standalone
 /// reductions per iteration instead of three, and stopping decisions that
-/// agree with the classic kernel's within one iteration.
+/// agree with the classic kernel's within one iteration. With `blocks`
+/// (the entry on the batch's row blocks) the SpMVs run at x86-64-v4, bit
+/// for bit the format kernel's.
 template <bool Pipelined = false, typename MatrixView, typename Prec,
           typename Stop>
 EntryResult bicgstab_kernel(const MatrixView& a, ConstVecView<real_type> b,
                             VecView<real_type> x, const Prec& prec,
                             const Stop& stop, int max_iters, Workspace& ws,
                             int work_offset = 0,
-                            obs::HistorySink history = {})
+                            obs::HistorySink history = {},
+                            RowBlockEntry blocks = {})
 {
     lockstep::EntryLane<MatrixView, Prec> g(a, b, x, prec, ws, work_offset,
-                                            history);
+                                            history, blocks);
     return lockstep::run_entry<BicgstabLanes<decltype(g), Pipelined>>(
         g, stop, max_iters);
 }

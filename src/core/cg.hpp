@@ -177,10 +177,11 @@ template <bool Pipelined = false, typename MatrixView, typename Prec,
 EntryResult cg_kernel(const MatrixView& a, ConstVecView<real_type> b,
                       VecView<real_type> x, const Prec& prec,
                       const Stop& stop, int max_iters, Workspace& ws,
-                      int work_offset = 0, obs::HistorySink history = {})
+                      int work_offset = 0, obs::HistorySink history = {},
+                      RowBlockEntry blocks = {})
 {
     lockstep::EntryLane<MatrixView, Prec> g(a, b, x, prec, ws, work_offset,
-                                            history);
+                                            history, blocks);
     return lockstep::run_entry<CgLanes<decltype(g), Pipelined>>(g, stop,
                                                                  max_iters);
 }

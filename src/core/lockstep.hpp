@@ -14,8 +14,10 @@
 // per-system mapping. It works over the entry's own matrix view (any
 // format, or solve_monolithic's block-diagonal view), its preconditioner,
 // plain workspace slots (a width-1 interleaving is contiguous) and the
-// caller's x, each sweep in its phase span. `bicgstab_kernel` and
-// `cg_kernel` are its one-entry runs (`run_entry`).
+// caller's x, each sweep in its phase span. Given the entry on the batch's
+// row blocks (matrix/row_blocks.hpp), its SpMV maps the system's rows to
+// vector lanes, as the paper's kernel maps them to warp lanes.
+// `bicgstab_kernel` and `cg_kernel` are its one-entry runs (`run_entry`).
 //
 // `LaneGroup<W, Jacobi>` (W in {2, 4, 8, 16}) is the SIMD batch-lockstep
 // path, which recovers the lane parallelism the scalar path serializes on
@@ -34,7 +36,8 @@
 //
 // The lane code is compiled once per instruction-set copy (util/isa.hpp):
 // the slab groups' drivers run at x86-64-v4 where the CPU supports it
-// (core/lockstep_run.hpp), the width-1 group at the baseline ISA.
+// (core/lockstep_run.hpp), the width-1 group at the baseline ISA, calling
+// the row-block SpMV's x86-64-v4 kernels when it has row blocks.
 #pragma once
 
 #include <algorithm>
@@ -53,6 +56,7 @@
 #include "core/residual.hpp"
 #include "core/workspace.hpp"
 #include "matrix/ell_slab.hpp"
+#include "matrix/row_blocks.hpp"
 #include "obs/convergence.hpp"
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
@@ -170,14 +174,18 @@ private:
 /// The width-1 group: one batch entry's own matrix view and
 /// preconditioner, plain workspace slots from `work_offset`, and the
 /// caller's x. Every sweep is the scalar kernel's own, in its phase span;
-/// the set-up sweeps are the iteration's (the lane is the group).
+/// the set-up sweeps are the iteration's (the lane is the group). With
+/// `blocks`, every SpMV runs on the entry's row blocks, bit for bit the
+/// format kernel's product; the set-up SpMV packs the entry first when the
+/// pattern needs a copy.
 template <typename MatrixView, typename Prec>
 struct EntryLane : LaneState<1> {
     EntryLane(const MatrixView& a, ConstVecView<real_type> b,
               VecView<real_type> x, const Prec& prec, Workspace& ws,
-              int work_offset, obs::HistorySink sink)
+              int work_offset, obs::HistorySink sink,
+              RowBlockEntry blocks = {})
         : a(a), prec(prec), b(b), x(x.data), n(x.len), ws(ws),
-          work_offset(work_offset)
+          work_offset(work_offset), blocks(blocks)
     {
         history = sink.history;
         sys[0] = sink.system;
@@ -191,6 +199,7 @@ struct EntryLane : LaneState<1> {
     index_type n;
     Workspace& ws;
     int work_offset;
+    RowBlockEntry blocks;
     EntryResult result;
 
     real_type* slot(int i) { return ws.slot(work_offset + i).data; }
@@ -207,7 +216,7 @@ struct EntryLane : LaneState<1> {
     template <typename Init>
     real_type residual(int, real_type* r, Init&& init) const
     {
-        spmv(x, r);
+        product(x, r, true);
         return obs::traced(obs::Phase::update, [&] {
             const real_type norm = blas::zaxpby_nrm2(
                 real_type{1}, b, real_type{-1}, cv(r), vv(r));
@@ -221,7 +230,8 @@ struct EntryLane : LaneState<1> {
     /// r = b - A x and ||r||: the shared unfused set-up residual.
     real_type residual(int, real_type* r) const
     {
-        return bsis::residual(a, b, cv(x), vv(r));
+        product(x, r, true);
+        return residual_from_product(b, vv(r));
     }
 
     real_type dot(int, const real_type* u, const real_type* v) const
@@ -249,8 +259,7 @@ struct EntryLane : LaneState<1> {
 
     void spmv(const real_type* in, real_type* out) const
     {
-        using bsis::spmv;  // the view's format overload, found by ADL
-        obs::traced(obs::Phase::spmv, [&] { spmv(a, cv(in), vv(out)); });
+        product(in, out, false);
     }
 
     /// out = A in, then d = w . out in its own reduction sweep.
@@ -288,6 +297,20 @@ struct EntryLane : LaneState<1> {
 private:
     ConstVecView<real_type> cv(const real_type* v) const { return {v, n}; }
     VecView<real_type> vv(real_type* v) const { return {v, n}; }
+
+    /// out = A in in an spmv span: on the row blocks when the entry has
+    /// them (at `setup`, packing it first), else the format's kernel.
+    void product(const real_type* in, real_type* out, bool setup) const
+    {
+        using bsis::spmv;  // the view's format overload, found by ADL
+        obs::traced(obs::Phase::spmv, [&] {
+            if (blocks) {
+                blocks.spmv(in, out, setup);
+            } else {
+                spmv(a, cv(in), vv(out));
+            }
+        });
+    }
 };
 
 /// Workspace slots every slab group holds after its algorithm's vectors:

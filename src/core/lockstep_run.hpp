@@ -22,16 +22,18 @@ namespace bsis {
 
 /// The instruction-set level a solve's kernels ran at.
 enum class IsaLevel {
-    x86_64,     ///< baseline: the scalar path, and lockstep without v4
-    x86_64_v4,  ///< AVX-512: the wide copy of the lockstep lane drivers
+    x86_64,     ///< baseline: every kernel without a wide copy, and all
+                ///< of them on a CPU without v4
+    x86_64_v4,  ///< AVX-512: the wide copy of the lockstep lane drivers,
+                ///< or the width-1 path's row-block SpMV
 };
 
 /// "x86-64" or "x86-64-v4", as GCC's -march names the levels.
 const char* isa_name(IsaLevel level);
 
-/// The level the lockstep lane drivers run at in this process: x86-64-v4
-/// when the wide copy is built and the CPU supports it, else x86-64.
-/// Decided once per process.
+/// The level the wide copy's kernels (the lockstep lane drivers, the
+/// row-block SpMV) run at in this process: x86-64-v4 when the wide copy is
+/// built and the CPU supports it, else x86-64. Decided once per process.
 IsaLevel lockstep_isa();
 
 /// Solves the batch with the settings' solver (BiCGStab or CG),

@@ -13,6 +13,7 @@
 #include "core/lockstep_run.hpp"
 #include "core/richardson.hpp"
 #include "core/workspace.hpp"
+#include "matrix/row_blocks.hpp"
 #include "obs/attribution.hpp"
 #include "obs/events.hpp"
 #include "obs/flight_recorder.hpp"
@@ -92,8 +93,9 @@ int effective_lockstep_width(int requested)
 
 /// The plan a solve runs: the lockstep width (0 selects the scalar path),
 /// whether BiCGStab / CG run the pipelined recurrences, and the
-/// instruction-set level of the kernels. Pricing, dispatch and the
-/// solve.start event all read this one decision.
+/// instruction-set level of the kernels that have a wide copy (the
+/// lockstep lane drivers, or the width-1 path's row-block SpMV). Pricing,
+/// dispatch and the solve.start event all read this one decision.
 struct ExecutionPlan {
     int lockstep_width = 0;
     bool pipelined = false;
@@ -107,17 +109,17 @@ ExecutionPlan plan_solve(const SolverSettings& s)
     // The pipelined variants ARE fused kernels; without fused kernels the
     // flag is ignored.
     plan.pipelined = s.pipelined && s.fused_kernels;
-    // Lane kernels exist for fused BiCGStab / CG with identity or scalar
-    // Jacobi on the shared-pattern formats; anything else runs scalar.
+    // Fused BiCGStab / CG on the shared-pattern formats have a wide copy:
+    // the lane drivers, or with any preconditioner on the scalar path the
+    // row-block SpMV. Lane kernels exist for identity or scalar Jacobi;
+    // anything else runs scalar.
     if (lockstep_supported_format<BatchMatrix> &&
         (s.solver == SolverType::bicgstab || s.solver == SolverType::cg) &&
-        s.precond != PrecondType::block_jacobi && s.fused_kernels) {
-        plan.lockstep_width = effective_lockstep_width(s.lockstep_width);
-    }
-    // Only the lockstep lane drivers have a wide copy; the scalar path
-    // always runs the baseline build.
-    if (plan.lockstep_width > 0) {
+        s.fused_kernels) {
         plan.isa = lockstep_isa();
+        if (s.precond != PrecondType::block_jacobi) {
+            plan.lockstep_width = effective_lockstep_width(s.lockstep_width);
+        }
     }
     return plan;
 }
@@ -166,8 +168,37 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
     const int solver_slots = workspace_slots(settings);
     const int nthreads = lockstep::max_threads();
 
+    // A wide scalar plan runs BiCGStab's and CG's SpMV on row blocks: one
+    // pattern per call, and per thread a strip after the solver's slots
+    // for an entry's packed values.
+    RowBlockPattern blocks;
+    int strip_slots = 0;
+    if constexpr (lockstep_supported_format<BatchMatrix>) {
+        if (plan.isa == IsaLevel::x86_64_v4) {
+            blocks = make_row_block_pattern(a);
+            if (n > 0) {
+                strip_slots = (blocks.strip_length() + n - 1) / n;
+            }
+        }
+    }
+    // The row-block view of entry i on `ws`, or none (the format kernel).
+    const auto entry_blocks = [&](size_type i, Workspace& ws) {
+        RowBlockEntry e;
+        if constexpr (lockstep_supported_format<BatchMatrix>) {
+            if (plan.isa == IsaLevel::x86_64_v4) {
+                e = {&blocks, a.entry(i).values,
+                     blocks.packed()
+                         ? row_block_strip(ws.slot(solver_slots).data)
+                         : nullptr};
+            }
+        }
+        (void)i;
+        (void)ws;
+        return e;
+    };
+
     auto& scratch = solve_scratch();
-    scratch.workspaces.require(nthreads, n, solver_slots);
+    scratch.workspaces.require(nthreads, n, solver_slots + strip_slots);
     if (static_cast<int>(scratch.gmres.size()) < nthreads) {
         scratch.gmres.resize(static_cast<std::size_t>(nthreads));
     }
@@ -231,10 +262,11 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
                      : plan.pipelined
                          ? bicgstab_kernel<true>(av, bv, xv, prec, stop,
                                                  settings.max_iterations,
-                                                 ws, 0, traj)
+                                                 ws, 0, traj,
+                                                 entry_blocks(i, ws))
                          : bicgstab_kernel(av, bv, xv, prec, stop,
                                            settings.max_iterations, ws, 0,
-                                           traj);
+                                           traj, entry_blocks(i, ws));
             break;
         case SolverType::bicg:
             result = bicg_kernel(av, bv, xv, prec, stop,
@@ -248,10 +280,10 @@ void run_batch(const BatchMatrix& a, const BatchVector<real_type>& b,
             result = plan.pipelined
                          ? cg_kernel<true>(av, bv, xv, prec, stop,
                                            settings.max_iterations, ws, 0,
-                                           traj)
+                                           traj, entry_blocks(i, ws))
                          : cg_kernel(av, bv, xv, prec, stop,
-                                     settings.max_iterations, ws, 0,
-                                     traj);
+                                     settings.max_iterations, ws, 0, traj,
+                                     entry_blocks(i, ws));
             break;
         case SolverType::gmres:
             result = gmres_kernel(
@@ -556,7 +588,11 @@ BatchSolveResult solve_batch(const BatchMatrix& a,
     result.phases = phases.totals();
     if (attribute && obs::metrics_enabled()) {
         const auto ledger = obs::work_ledger(
-            result.work, ledger_shape(a), ledger_format<BatchMatrix>(),
+            plan.lockstep_width > 0
+                ? slab_work_profile(result.work, settings.solver,
+                                    plan.pipelined)
+                : result.work,
+            ledger_shape(a), ledger_format<BatchMatrix>(),
             static_cast<double>(result.log.total_iterations()),
             static_cast<double>(a.num_batch()));
         record_solve_metrics(result, ledger);

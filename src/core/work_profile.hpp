@@ -60,6 +60,14 @@ struct SolverWorkProfile {
                                       ///< reduction sweeps (a dot fused
                                       ///< into an update or precond sweep)
 
+    /// Host slab lane groups only (slab_work_profile; zero for the GPU
+    /// model and the width-1 path): SpMV sweeps per iteration that also
+    /// produce reduction results, the results beyond one per such sweep,
+    /// and the operand vectors those sweeps read beyond the SpMV's own.
+    double spmv_dot_sweeps = 0;
+    double spmv_extra_dots = 0;
+    double spmv_dot_vectors = 0;
+
     /// SIMD lanes of the host batch-lockstep path: the number of batch
     /// entries one CPU thread advances per iteration over interleaved
     /// layouts. 1 = scalar one-entry-at-a-time path (the GPU model is
@@ -190,6 +198,32 @@ inline SolverWorkProfile work_profile(SolverType solver,
         // Reduction-free apart from the optional residual check.
         p = {1, prec_ops, 1, 3, 1, 1, 1};
         break;
+    }
+    return p;
+}
+
+/// The fused profile `p` of `solver` as the host's slab lane groups
+/// (lockstep width > 1) sweep it, for the host's work ledger, which
+/// charges each dot to the phase of the sweep that computes it. Pipelined
+/// BiCGStab computes r_hat.v and its dot4 inside its two SpMV sweeps
+/// (LaneGroup::spmv_dot, ::spmv_dot4), which read r_hat, and s and r_hat,
+/// beside the vector they produce; pipelined CG's r.z is a reduction sweep
+/// of its own after the preconditioner (LaneGroup::precond_dot). The GPU
+/// model and the width-1 path keep `p`.
+inline SolverWorkProfile slab_work_profile(SolverWorkProfile p,
+                                           SolverType solver,
+                                           bool pipelined)
+{
+    if (pipelined && solver == SolverType::bicgstab) {
+        p.spmv_dot_sweeps = p.fused_dot_sweeps;
+        p.spmv_extra_dots = p.fused_extra_dots;
+        p.spmv_dot_vectors = p.fused_dot_sweeps + p.fused_extra_dot_vectors;
+        p.fused_dot_sweeps = 0;
+        p.fused_extra_dots = 0;
+        p.fused_extra_dot_vectors = 0;
+    } else if (pipelined && solver == SolverType::cg) {
+        p.fused_dot_sweeps += p.fused_extra_combines;
+        p.fused_extra_combines = 0;
     }
     return p;
 }

@@ -82,6 +82,14 @@ WorkLedger work_ledger(const SolverWorkProfile& work,
                work.spmv_per_iter * total_iterations);
     scale_into(ledger.of(Phase::precond), precond_work(n),
                work.precond_per_iter * total_iterations);
+    // Reductions computed inside the SpMV sweeps (the host slab groups'):
+    // their extra operand vectors, 2n flops per result and one combine
+    // point per sweep, charged to the SpMV.
+    auto& spmv = ledger.of(Phase::spmv);
+    spmv.bytes_read += work.spmv_dot_vectors * n * vb * total_iterations;
+    spmv.flops += 2.0 * n * (work.spmv_dot_sweeps + work.spmv_extra_dots) *
+                  total_iterations;
+    spmv.reductions += work.spmv_dot_sweeps * total_iterations;
 
     if (work.has_fused_shape()) {
         // Update sweeps: every sweep streams 2 vectors in / 1 out. A norm

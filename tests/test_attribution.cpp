@@ -644,16 +644,22 @@ protected:
     /// so the solve's phase times clear DriftConfig::min_total_measured
     /// and the drift detector genuinely executes; the SIMT-traced gpusim
     /// test stays on the small grid for speed.
-    static Problem make_problem_big(size_type nbatch)
+    static Problem make_problem_big(size_type nbatch, bool spd = false)
     {
-        return make_problem_grid(32, 31, nbatch);
+        return make_problem_grid(32, 31, nbatch, spd);
     }
 
+    /// `spd`: symmetric positive definite (no advection or perturbation),
+    /// for CG.
     static Problem make_problem_grid(size_type gx, size_type gy,
-                                     size_type nbatch)
+                                     size_type nbatch, bool spd = false)
     {
         SyntheticStencilParams params;
         params.seed = 99;
+        if (spd) {
+            params.advection = 0.0;
+            params.perturbation = 0.0;
+        }
         auto a = make_synthetic_batch(gx, gy, StencilKind::nine_point,
                                       nbatch, params);
         BatchVector<real_type> b(nbatch, a.rows());
@@ -733,19 +739,34 @@ TEST_F(AttributionEndToEnd, ScalarPathAttributesAndStaysWithinRoofline)
 
 TEST_F(AttributionEndToEnd, LockstepPathAttributesAndStaysWithinRoofline)
 {
-    auto p = make_problem_big(24);
-    obs::set_metrics_enabled(true);
-    SolverSettings settings;
-    settings.lockstep_width = 8;
-    BatchVector<real_type> x(p.a.num_batch(), p.a.rows());
-    const auto result = solve_batch(p.a, p.b, x, settings);
-    obs::set_metrics_enabled(false);
-    ASSERT_TRUE(result.log.all_converged());
+    // Both lane algorithms, classic and pipelined. The ledger charges each
+    // dot to the phase of the sweep that computes it: pipelined BiCGStab's
+    // r_hat.v and dot4 ride the slab's SpMV sweeps, and pipelined CG's r.z
+    // is a reduction sweep of its own.
+    for (const auto solver : {SolverType::bicgstab, SolverType::cg}) {
+        auto p = make_problem_big(24, solver == SolverType::cg);
+        for (const bool pipelined : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << (solver == SolverType::cg ? "cg" : "bicgstab")
+                         << (pipelined ? " pipelined" : " classic"));
+            reset_all();
+            obs::set_metrics_enabled(true);
+            SolverSettings settings;
+            settings.solver = solver;
+            settings.pipelined = pipelined;
+            settings.lockstep_width = 8;
+            BatchVector<real_type> x(p.a.num_batch(), p.a.rows());
+            const auto result = solve_batch(p.a, p.b, x, settings);
+            obs::set_metrics_enabled(false);
+            ASSERT_TRUE(result.log.all_converged());
 
-    const auto snap = obs::metrics().snapshot();
-    expect_sane_bandwidth(snap, "solve");
-    EXPECT_EQ(snap.counter("obs.drift.alarms"), 0) << drift_gauges(snap);
-    EXPECT_GT(snap.counter("obs.drift.checks"), 0);
+            const auto snap = obs::metrics().snapshot();
+            expect_sane_bandwidth(snap, "solve");
+            EXPECT_EQ(snap.counter("obs.drift.alarms"), 0)
+                << drift_gauges(snap);
+            EXPECT_GT(snap.counter("obs.drift.checks"), 0);
+        }
+    }
 }
 
 TEST_F(AttributionEndToEnd, LockstepSetUpOpensTheScalarPathsSpans)
